@@ -38,27 +38,11 @@
 //!   completion of a key must be bit-identical.
 //!
 //! The report is one `key=value` line (`lost=0` is what CI greps) plus
-//! latency lines with p50/p99/p999 from the shared histogram plumbing —
-//! aggregate and *per phase*: steady-state and burst requests are
-//! accounted separately (tagged at send time), so the burst tail cannot
-//! hide inside the steady distribution or vice versa.
-//!
-//! `--bench-out PATH` writes an `nsc-perf-v1` summary (workload
-//! `serving`, toleranced series only): aggregate throughput/p99/shed
-//! rate plus `steady_*` / `burst_*` per-phase series
-//! (throughput, p50, p99, p999, shed rate), so serving slowdowns fail
-//! the same `nsc_perf --compare` gate as simulator regressions.
-//!
-//! `--sweep R1,R2,...` appends steady-only probe passes at each rate
-//! (ascending) after the soak and records the **saturation knee**: the
-//! first swept rate whose steady p99 exceeds `--knee-p99-us` or whose
-//! shed rate exceeds `--knee-shed-pct`, or the largest swept rate when
-//! none saturates. The knee lands in the bench-out series as
-//! `knee_rps` — higher-is-better by suffix, so a daemon whose knee
-//! moves down past the tolerance band fails the same compare gate.
+//! a latency line with p50/p99/p999 from the shared histogram plumbing.
+//! Host-time performance is measured by `benchmark/run.sh`, not here.
 
 use near_stream::ExecMode;
-use nsc_bench::Cli;
+use nsc_bench::{size_label, Cli};
 use nsc_sim::json::{parse, Json};
 use nsc_sim::rng::Rng;
 use nsc_sim::stats::Histogram;
@@ -81,32 +65,6 @@ struct Key {
     mode: ExecMode,
 }
 
-/// Send-time phase tags indexing [`Acct::phases`]. A response is
-/// attributed to the phase its request was *sent* in, even when it
-/// lands after the phase's schedule ended — the tail of a burst is a
-/// burst problem.
-const PH_COLD: usize = 0;
-const PH_STEADY: usize = 1;
-const PH_BURST: usize = 2;
-const PH_RETRY: usize = 3;
-const PH_NAMES: [&str; 4] = ["cold", "steady", "burst", "retry"];
-
-/// One phase's slice of the accounting: offered/completed/shed counts
-/// plus its own latency histogram, so steady-state and burst tails are
-/// reported separately instead of smeared into one distribution.
-struct PhaseAcct {
-    sent: u64,
-    ok: u64,
-    shed: u64,
-    hist: Histogram,
-}
-
-impl PhaseAcct {
-    fn new() -> PhaseAcct {
-        PhaseAcct { sent: 0, ok: 0, shed: 0, hist: Histogram::new(1_000.0, 30_000) }
-    }
-}
-
 /// Everything the reporter needs, merged across connections.
 struct Acct {
     sent: u64,
@@ -127,8 +85,6 @@ struct Acct {
     /// Retryable sheds to replay closed-loop: (key idx, rid, hint ms).
     retryable: Vec<(usize, u64, u64)>,
     hist: Histogram,
-    /// Per-phase sub-accounting, indexed by `PH_*`.
-    phases: [PhaseAcct; 4],
 }
 
 impl Acct {
@@ -152,16 +108,7 @@ impl Acct {
             // buffer can hold deliveries behind multi-second inline
             // work, and the tail is the interesting part.
             hist: Histogram::new(1_000.0, 30_000),
-            phases: [PhaseAcct::new(), PhaseAcct::new(), PhaseAcct::new(), PhaseAcct::new()],
         }
-    }
-}
-
-fn size_label(size: Size) -> &'static str {
-    match size {
-        Size::Tiny => "tiny",
-        Size::Small => "small",
-        Size::Paper => "paper",
     }
 }
 
@@ -209,8 +156,8 @@ impl Zipf {
     }
 }
 
-/// In-flight requests: id → (key idx, send time, send-phase tag).
-type Pending = HashMap<u64, (usize, Instant, usize)>;
+/// In-flight requests: id → (key idx, send time).
+type Pending = HashMap<u64, (usize, Instant)>;
 
 /// Classifies one response line into the accounting, returning the key
 /// index it answered (from `pending`) when it correlates.
@@ -220,7 +167,7 @@ fn absorb_response(line: &str, pending: &mut Pending, acct: &mut Acct) {
         return;
     };
     let id = resp.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let Some((key_idx, t_sent, phase)) = pending.remove(&id) else {
+    let Some((key_idx, t_sent)) = pending.remove(&id) else {
         // id 0 with a shed reason is a connection-level reject; any
         // other uncorrelated line is a duplicate terminal response.
         if resp.get("shed").is_some() && id == 0 {
@@ -230,12 +177,9 @@ fn absorb_response(line: &str, pending: &mut Pending, acct: &mut Acct) {
         }
         return;
     };
-    let us = t_sent.elapsed().as_micros() as f64;
-    acct.hist.record(us);
-    acct.phases[phase].hist.record(us);
+    acct.hist.record(t_sent.elapsed().as_micros() as f64);
     if resp.get("ok").and_then(json_bool) == Some(true) {
         acct.ok += 1;
-        acct.phases[phase].ok += 1;
         if resp.get("cached").and_then(json_bool) == Some(true) {
             acct.cached += 1;
         }
@@ -255,39 +199,27 @@ fn absorb_response(line: &str, pending: &mut Pending, acct: &mut Acct) {
     match resp.get("shed").and_then(Json::as_str) {
         Some("overloaded") => {
             acct.shed_overloaded += 1;
-            acct.phases[phase].shed += 1;
             acct.retryable.push((key_idx, rid, hint));
         }
         Some("shutting_down") => {
             acct.shed_shutdown += 1;
-            acct.phases[phase].shed += 1;
             acct.retryable.push((key_idx, rid, hint));
         }
-        Some("deadline_exceeded") => {
-            acct.shed_deadline += 1;
-            acct.phases[phase].shed += 1;
-        }
+        Some("deadline_exceeded") => acct.shed_deadline += 1,
         _ => acct.errors += 1,
     }
 }
 
-/// One open-loop pass's shape. The main soak is
-/// `{cold flood, steady, burst}`; `--sweep` probe passes are
-/// steady-only at one rate with the flood skipped (the soak already
-/// populated the cache). `pass` is folded into every request id so
-/// rids stay globally unique across passes — otherwise the daemon's
-/// dedup store would replay earlier passes' results and the sweep
-/// would measure nothing.
+/// The open-loop soak's shape: cold flood, then `steady_ms` at `rate`,
+/// then `burst_ms` at `rate × burst_mult`.
 #[derive(Clone, Copy)]
 struct PassCfg {
     rate: u64,
     steady_ms: u64,
     burst_ms: u64,
     burst_mult: u64,
-    cold: bool,
     seed: u64,
     deadline_ms: u64,
-    pass: u64,
 }
 
 /// One connection's worth of open-loop traffic: scheduled sends on this
@@ -342,49 +274,38 @@ fn drive_conn(
     };
 
     let mut out = stream;
-    let mut rng = Rng::seed_from_u64(
-        cfg.seed
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add(conn_idx)
-            .wrapping_add(cfg.pass.wrapping_mul(0x85EB_CA6B)),
-    );
+    let mut rng = Rng::seed_from_u64(cfg.seed.wrapping_mul(0x9E37_79B9).wrapping_add(conn_idx));
     let mut seq = 0u64;
-    let mut send = |out: &mut UnixStream, key_idx: usize, phase: usize| -> bool {
+    let mut send = |out: &mut UnixStream, key_idx: usize| -> bool {
         seq += 1;
         let id = seq;
-        let rid = (cfg.seed << 48) ^ (cfg.pass << 40) ^ (conn_idx << 32) ^ seq;
+        let rid = (cfg.seed << 48) ^ (conn_idx << 32) ^ seq;
         let line = run_line(id, rid.max(1), &keys[key_idx], size, cfg.deadline_ms);
-        pending.lock().unwrap().insert(id, (key_idx, Instant::now(), phase));
-        let mut a = acct.lock().unwrap();
-        a.sent += 1;
-        a.phases[phase].sent += 1;
-        drop(a);
+        pending.lock().unwrap().insert(id, (key_idx, Instant::now()));
+        acct.lock().unwrap().sent += 1;
         writeln!(out, "{line}").and_then(|()| out.flush()).is_ok()
     };
 
     // Phase 1 — cold flood: this connection's slice of the key space,
     // as fast as the socket accepts it.
     let mut alive = true;
-    if cfg.cold {
-        for key_idx in 0..keys.len() {
-            if key_idx as u64 % conns == conn_idx {
-                alive = send(&mut out, key_idx, PH_COLD);
-                if !alive {
-                    break;
-                }
+    for key_idx in 0..keys.len() {
+        if key_idx as u64 % conns == conn_idx {
+            alive = send(&mut out, key_idx);
+            if !alive {
+                break;
             }
         }
     }
 
     // Phases 2+3 — open loop: send times are fixed by the schedule, not
-    // by the daemon's progress. `burst_ms == 0` makes the burst window
-    // empty, so the second entry sends nothing.
+    // by the daemon's progress.
     let steady = Duration::from_millis(cfg.steady_ms);
     let burst_phase = Duration::from_millis(cfg.burst_ms);
     let start = Instant::now();
-    for (phase, phase_end, phase_rate) in [
-        (PH_STEADY, steady, cfg.rate),
-        (PH_BURST, steady + burst_phase, cfg.rate * cfg.burst_mult.max(1)),
+    for (phase_end, phase_rate) in [
+        (steady, cfg.rate),
+        (steady + burst_phase, cfg.rate * cfg.burst_mult.max(1)),
     ] {
         if !alive {
             break;
@@ -399,7 +320,7 @@ fn drive_conn(
             if now < next {
                 std::thread::sleep(next - now);
             }
-            alive = send(&mut out, zipf.sample(&mut rng), phase);
+            alive = send(&mut out, zipf.sample(&mut rng));
             next += interval;
         }
     }
@@ -441,7 +362,7 @@ fn retry_pass(
             let id = i as u64 + 1;
             payload.push_str(&run_line(id, rid, &keys[key_idx], size, deadline_ms));
             payload.push('\n');
-            pending.insert(id, (key_idx, Instant::now(), PH_RETRY));
+            pending.insert(id, (key_idx, Instant::now()));
         }
         acct.retries += work.len() as u64;
         if stream
@@ -464,69 +385,6 @@ fn retry_pass(
     // Whatever is still retryable after the budget keeps its typed shed
     // as the terminal response — reported, not lost.
     acct.retryable = work;
-}
-
-/// Writes an `nsc-perf-v1`-compatible summary so serving performance
-/// rides the same regression gate as the simulator: one workload
-/// (`serving`) with no exact counters (nothing here is deterministic)
-/// and a toleranced `series` — keys ending `_rps` are higher-is-better
-/// by suffix, everything else lower-is-better. The aggregate
-/// throughput/p99/shed-rate keys are joined by `steady_*` / `burst_*`
-/// per-phase series and, when a sweep ran, the `knee_rps` saturation
-/// knee. Compare against a committed baseline with
-/// `nsc_perf --compare results/BENCH_serving_baseline.json <PATH>`.
-///
-/// Shed-rate series are floored at 0.005: a zero-shed baseline would
-/// make the lower-is-better tolerance band zero-width (`0 * tol = 0`),
-/// failing the gate on the first stray shed of any later run.
-fn write_bench_out(
-    path: &str,
-    size: Size,
-    wall: Duration,
-    throughput_rps: f64,
-    acct: &Acct,
-    phase_ms: [u64; 2],
-    knee_rps: Option<f64>,
-) {
-    use nsc_sim::json::fmt_f64;
-    let sheds = acct.shed_overloaded + acct.shed_deadline + acct.shed_shutdown;
-    let shed_rate = sheds as f64 / (acct.sent as f64).max(1.0);
-    let p99_us = acct.hist.percentile_opt(99.0).unwrap_or(0.0);
-    let r3 = |v: f64| (v * 1e3).round() / 1e3;
-    let floor = |v: f64| v.max(0.005);
-    let mut series: Vec<(String, f64)> = vec![
-        ("throughput_rps".to_owned(), r3(throughput_rps)),
-        ("p99_us".to_owned(), r3(p99_us)),
-        ("shed_rate".to_owned(), r3(floor(shed_rate))),
-    ];
-    for (phase, ms) in [(PH_STEADY, phase_ms[0]), (PH_BURST, phase_ms[1])] {
-        let pa = &acct.phases[phase];
-        let name = PH_NAMES[phase];
-        let p = |q: f64| pa.hist.percentile_opt(q).unwrap_or(0.0);
-        let secs = (ms as f64 / 1e3).max(1e-9);
-        series.push((format!("{name}_throughput_rps"), r3(pa.ok as f64 / secs)));
-        series.push((format!("{name}_p50_us"), r3(p(50.0))));
-        series.push((format!("{name}_p99_us"), r3(p(99.0))));
-        series.push((format!("{name}_p999_us"), r3(p(99.9))));
-        series
-            .push((format!("{name}_shed_rate"), r3(floor(pa.shed as f64 / (pa.sent as f64).max(1.0)))));
-    }
-    if let Some(knee) = knee_rps {
-        series.push(("knee_rps".to_owned(), knee));
-    }
-    let series_json = series
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{}", fmt_f64(*v)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let out = format!(
-        "{{\"schema\":\"nsc-perf-v1\",\"label\":\"serving\",\"size\":\"{}\",\"workloads\":{{\
-         \"serving\":{{\"wall_ms\":{},\"counters\":{{}},\"series\":{{{series_json}}}}}}}}}\n",
-        size_label(size),
-        fmt_f64(r3(wall.as_secs_f64() * 1e3)),
-    );
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    eprintln!("nsc_load: wrote {path} (throughput={throughput_rps:.0} rps, p99={p99_us:.0}µs, shed_rate={shed_rate:.3})");
 }
 
 /// Runs one open-loop pass (`conns` connection threads against the
@@ -569,11 +427,6 @@ fn main() {
         .opt("zipf", "N", "Zipf theta x100 for the key mix (default 90)")
         .opt("deadline-ms", "N", "per-request deadline after the cold flood (default 0)")
         .opt("retries", "N", "closed-loop replay budget for retryable sheds (default 4)")
-        .opt("bench-out", "PATH", "write an nsc-perf-v1 summary (workload \"serving\") for nsc_perf --compare")
-        .opt("sweep", "R1,R2,...", "after the soak, probe each rate steady-only and record the saturation knee as knee_rps")
-        .opt("sweep-secs", "N", "per-rate duration of each sweep pass (default 2)")
-        .opt("knee-p99-us", "N", "sweep knee threshold on steady p99 (default 100000)")
-        .opt("knee-shed-pct", "N", "sweep knee threshold on shed rate, percent (default 1)")
         .parse();
     let socket = args
         .opt("socket")
@@ -611,10 +464,8 @@ fn main() {
         steady_ms: secs * 750,
         burst_ms: secs * 250,
         burst_mult: burst,
-        cold: true,
         seed,
         deadline_ms,
-        pass: 0,
     };
     let (mut acct, open_loop_wall) = run_pass(&socket, &keys, &zipf, args.size, conns, soak_cfg);
     retry_pass(&socket, &keys, args.size, deadline_ms, max_retries, &mut acct);
@@ -638,106 +489,15 @@ fn main() {
         acct.mismatch,
     );
     let p = |q: f64| acct.hist.percentile_opt(q).unwrap_or(0.0);
-    let throughput_rps = acct.ok as f64 / open_loop_wall.as_secs_f64().max(1e-9);
     println!(
         "nsc_load: wall={:.1}s throughput={:.0} req/s p50={:.0}µs p99={:.0}µs p999={:.0}µs keys_verified={}",
         open_loop_wall.as_secs_f64(),
-        throughput_rps,
+        acct.ok as f64 / open_loop_wall.as_secs_f64().max(1e-9),
         p(50.0),
         p(99.0),
         p(99.9),
         acct.blobs.len(),
     );
-    // Per-phase breakdown: steady-state vs burst, attributed at send
-    // time, so the burst tail is visible on its own.
-    for (phase, ms) in [(PH_STEADY, secs * 750), (PH_BURST, secs * 250)] {
-        let pa = &acct.phases[phase];
-        let pp = |q: f64| pa.hist.percentile_opt(q).unwrap_or(0.0);
-        println!(
-            "nsc_load: {}: sent={} ok={} shed={} throughput={:.0} req/s p50={:.0}µs p99={:.0}µs p999={:.0}µs shed_rate={:.3}",
-            PH_NAMES[phase],
-            pa.sent,
-            pa.ok,
-            pa.shed,
-            pa.ok as f64 / (ms as f64 / 1e3).max(1e-9),
-            pp(50.0),
-            pp(99.0),
-            pp(99.9),
-            pa.shed as f64 / (pa.sent as f64).max(1.0),
-        );
-    }
-
-    // Saturation sweep: steady-only probe passes at each requested rate
-    // (ascending), knee = the first rate that saturates by p99 or shed
-    // rate — or the largest swept rate when none does.
-    let mut knee_rps = None;
-    if let Some(spec) = args.opt("sweep") {
-        let mut rates: Vec<u64> = spec
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .map(|s| s.trim().parse().unwrap_or_else(|_| panic!("--sweep: bad rate {s:?}")))
-            .collect();
-        rates.sort_unstable();
-        rates.dedup();
-        assert!(!rates.is_empty(), "--sweep needs at least one rate");
-        let sweep_secs = args.opt_u64("sweep-secs", 2).max(1);
-        let knee_p99 = args.opt_u64("knee-p99-us", 100_000) as f64;
-        let knee_shed = args.opt_u64("knee-shed-pct", 1) as f64 / 100.0;
-        let mut knee = *rates.last().unwrap();
-        let mut saturated = false;
-        for (i, &probe_rate) in rates.iter().enumerate() {
-            let cfg = PassCfg {
-                rate: probe_rate,
-                steady_ms: sweep_secs * 1000,
-                burst_ms: 0,
-                burst_mult: 1,
-                cold: false,
-                seed,
-                deadline_ms,
-                pass: i as u64 + 1,
-            };
-            let (mut pass_acct, _) = run_pass(&socket, &keys, &zipf, args.size, conns, cfg);
-            retry_pass(&socket, &keys, args.size, deadline_ms, max_retries, &mut pass_acct);
-            let pa = &pass_acct.phases[PH_STEADY];
-            let pp = |q: f64| pa.hist.percentile_opt(q).unwrap_or(0.0);
-            let shed_rate = pa.shed as f64 / (pa.sent as f64).max(1.0);
-            println!(
-                "nsc_load: sweep rate={probe_rate} sent={} ok={} shed={} p50={:.0}µs p99={:.0}µs p999={:.0}µs shed_rate={shed_rate:.3}",
-                pa.sent,
-                pa.ok,
-                pa.shed,
-                pp(50.0),
-                pp(99.0),
-                pp(99.9),
-            );
-            // Protocol violations in probe passes are just as fatal as
-            // in the soak: fold them into the exit gate.
-            acct.lost += pass_acct.lost;
-            acct.dup += pass_acct.dup;
-            acct.mismatch += pass_acct.mismatch;
-            if !saturated && (pp(99.0) > knee_p99 || shed_rate > knee_shed) {
-                knee = probe_rate;
-                saturated = true;
-            }
-        }
-        println!(
-            "nsc_load: knee={knee} rps ({}; thresholds p99>{knee_p99:.0}µs shed_rate>{knee_shed:.3})",
-            if saturated { "first saturated rate" } else { "no swept rate saturated" },
-        );
-        knee_rps = Some(knee as f64);
-    }
-
-    if let Some(path) = args.opt("bench-out") {
-        write_bench_out(
-            path,
-            args.size,
-            open_loop_wall,
-            throughput_rps,
-            &acct,
-            [secs * 750, secs * 250],
-            knee_rps,
-        );
-    }
     if acct.lost > 0 || acct.dup > 0 || acct.mismatch > 0 {
         eprintln!(
             "nsc_load: FAILED: lost={} dup={} mismatch={} (every accepted request must get \

@@ -149,6 +149,19 @@ fn shutdown_rejects_new_submits_while_draining() {
     let mut a = UnixStream::connect(&socket).expect("conn a");
     writeln!(a, "{}", run(1, 0, "histogram", 0).render()).expect("submit run 1");
     a.flush().expect("flush");
+    // Wait until A's reader has admitted run 1 (it holds a queue credit,
+    // or has already completed): otherwise the shutdown below can reach
+    // the daemon first and run 1 is itself shed `shutting_down`.
+    let mut admitted = false;
+    for _ in 0..1000 {
+        let st = roundtrip(&socket, &[Request::Status { id: 1 }]).expect("status");
+        if st[0].get_num("queue_depth").unwrap_or(0) + st[0].get_num("served").unwrap_or(0) > 0 {
+            admitted = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(admitted, "run 1 was never admitted");
     // Connection B requests shutdown and sees it acknowledged.
     let resps = roundtrip(&socket, &[Request::Shutdown { id: 1 }]).expect("shutdown");
     assert_eq!(resps[0].get_bool("ok"), Some(true));

@@ -46,11 +46,6 @@ for h in tab01_capabilities tab02_patterns tab03_stream_isas tab04_encoding \
     WALL_ENTRIES="$WALL_ENTRIES\"$h\":null,"
   fi
 done
-# Perf baseline for this scale: wall time + pinned sim counters per
-# workload, comparable across checkouts with `nsc_perf --compare`.
-echo "=== nsc_perf $SCALE ==="
-NSC_RESULTS_DIR=results $BIN/nsc_perf "$SCALE" --label "${SCALE#--}" \
-  || echo "nsc_perf FAILED"
 # Serving telemetry snapshot: a short-lived daemon under a small burst,
 # captured as the health verdict + self-contained dashboard HTML.
 echo "=== serving telemetry $SCALE ==="
