@@ -312,10 +312,6 @@ pub(crate) fn simulate(
                 // Record core 0's completed probe verdicts for the next
                 // invocation of this kernel configuration.
                 if c == 0 && rt.deferred.is_none() && rt.probe_accesses > 0 {
-                    if std::env::var_os("NSC_DEBUG_KERNELS").is_some() {
-                        eprintln!("verdict {}:{} -> {:?} (probed {} lines, {} misses, total {})",
-                            ck.name, s, rt.style, rt.probe_accesses, rt.probe_misses, rt.probe_total);
-                    }
                     probe_history.insert((static_kernel_key(&ck.name), s as u8), rt.style);
                 }
             }
@@ -345,9 +341,6 @@ pub(crate) fn simulate(
             kernel_end = kernel_end.max(t);
         }
 
-        if std::env::var_os("NSC_DEBUG_KERNELS").is_some() {
-            eprintln!("kernel {} end={} (was {})", kernel.name, kernel_end.raw(), time.raw());
-        }
         time = kernel_end;
         for c in 0..n_cores {
             cores[c as usize].now = time;

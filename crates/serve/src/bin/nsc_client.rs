@@ -3,13 +3,10 @@
 //! ```text
 //! nsc-client submit [--socket PATH] [--size S] [--mode M] [--local] [--latency] WORKLOAD...
 //! nsc-client status [--socket PATH]
-//! nsc-client metrics [--socket PATH] [--prom] [--watch N]
+//! nsc-client metrics [--socket PATH] [--prom]
 //! nsc-client logs   [--socket PATH]
 //! nsc-client trace  [--socket PATH] [--perfetto FILE] REQUEST_ID
 //! nsc-client inspect [--socket PATH] [--key HEX] [--local]
-//! nsc-client timeline [--socket PATH] [--since N] [--follow]
-//! nsc-client health [--socket PATH]
-//! nsc-client dashboard [--socket PATH] --out FILE
 //! nsc-client flush  [--socket PATH]
 //! nsc-client shutdown [--socket PATH]
 //! ```
@@ -36,9 +33,6 @@ Usage:
   nsc-client logs   [--socket PATH]         drain the daemon's log flight recorder
   nsc-client trace  [OPTIONS] REQUEST_ID    one request's span tree (hex id from submit)
   nsc-client inspect [OPTIONS]              tiered result-cache report (hot/cold stats)
-  nsc-client timeline [OPTIONS]             sampled telemetry frames as ndjson
-  nsc-client health [--socket PATH]         SLO verdict (ok | degraded | failing)
-  nsc-client dashboard --out FILE           self-contained HTML dashboard
   nsc-client flush  [--socket PATH]         wait for in-flight runs to finish
   nsc-client shutdown [--socket PATH]       graceful daemon shutdown
 
@@ -55,12 +49,8 @@ Options:
   --retry-seed N   jitter seed — fixed seed, deterministic schedule
   --timeout-ms N   per-read socket timeout, 0 blocks forever (default 30000)
   --prom           render metrics in Prometheus text exposition format
-  --watch N        clear + re-render metrics every N seconds, with counter deltas
   --perfetto FILE  (trace) also write a combined Perfetto trace document
   --key HEX        (inspect) probe one 32-hex-digit cache key's residency
-  --since N        (timeline) only frames with seq > N (cursor pagination)
-  --follow         (timeline) keep polling and stream new frames as they land
-  --out FILE       (dashboard) where to write the HTML document
   -h, --help       print this help
 
 Retried submissions reuse their request id, so a run whose response was
@@ -75,12 +65,8 @@ struct Opts {
     deadline_ms: u64,
     retry: RetryPolicy,
     prom: bool,
-    watch: Option<u64>,
     perfetto: Option<PathBuf>,
     key: Option<String>,
-    since: u64,
-    follow: bool,
-    out: Option<PathBuf>,
     words: Vec<String>,
 }
 
@@ -94,12 +80,8 @@ fn parse_opts(mut argv: impl Iterator<Item = String>) -> Opts {
         deadline_ms: 0,
         retry: RetryPolicy::from_env(),
         prom: false,
-        watch: None,
         perfetto: None,
         key: None,
-        since: 0,
-        follow: false,
-        out: None,
         words: Vec::new(),
     };
     while let Some(a) = argv.next() {
@@ -127,18 +109,8 @@ fn parse_opts(mut argv: impl Iterator<Item = String>) -> Opts {
             "--retry-seed" => o.retry.seed = req_num(&mut argv, "--retry-seed"),
             "--timeout-ms" => o.retry.read_timeout_ms = req_num(&mut argv, "--timeout-ms"),
             "--prom" => o.prom = true,
-            "--watch" => {
-                let v = req_val(&mut argv, "--watch");
-                let n = v.parse::<u64>().ok().filter(|&n| n > 0).unwrap_or_else(|| {
-                    die(&format!("--watch wants a positive integer, got {v:?}"))
-                });
-                o.watch = Some(n);
-            }
             "--perfetto" => o.perfetto = Some(PathBuf::from(req_val(&mut argv, "--perfetto"))),
             "--key" => o.key = Some(req_val(&mut argv, "--key")),
-            "--since" => o.since = req_num(&mut argv, "--since"),
-            "--follow" => o.follow = true,
-            "--out" => o.out = Some(PathBuf::from(req_val(&mut argv, "--out"))),
             w if w.starts_with('-') => die(&format!("unknown flag: {w}")),
             _ => o.words.push(a),
         }
@@ -156,9 +128,6 @@ fn main() {
         "logs" => logs_cmd(parse_opts(argv)),
         "trace" => trace_cmd(parse_opts(argv)),
         "inspect" => inspect_cmd(parse_opts(argv)),
-        "timeline" => timeline_cmd(parse_opts(argv)),
-        "health" => health_cmd(parse_opts(argv)),
-        "dashboard" => dashboard_cmd(parse_opts(argv)),
         "status" | "flush" | "shutdown" => {
             let o = parse_opts(argv);
             if !o.words.is_empty() {
@@ -207,103 +176,31 @@ fn print_status_summary(r: &nsc_serve::json::Obj) {
     );
 }
 
-/// `nsc-client metrics`: one status + one metrics request per poll; the
-/// nested `nsc-metrics-v1` snapshot travels as an escaped string and is
+/// `nsc-client metrics`: one status + one metrics request; the nested
+/// `nsc-metrics-v1` snapshot travels as an escaped string and is
 /// re-parsed here with the full JSON parser.
-///
-/// Watch mode also fetches the daemon's latest timeline frame, so the
-/// headline rates (req/s, shed/s, windowed p50/p99) are daemon-side
-/// deltas — consistent for every watcher — instead of client-side
-/// subtraction. The per-counter delta column is still client-side, but
-/// a counter that goes *backwards* (daemon restarted mid-watch) renders
-/// a `reset` marker instead of a bogus huge delta.
 fn metrics_cmd(o: Opts) {
     if !o.words.is_empty() {
         die("metrics takes no positional arguments");
     }
-    // Previous tick's counter values, so watch mode can show deltas.
-    let mut prev: Option<std::collections::BTreeMap<String, f64>> = None;
-    let mut tick = 0u64;
-    loop {
-        let reqs = [Request::Status { id: 1 }, Request::Metrics { id: 2 }];
-        let resps = match roundtrip(&o.socket, &reqs) {
-            Ok(r) => r,
-            Err(e) => die(&format!("{}: {e}", o.socket.display())),
-        };
-        let status = resps.first().filter(|r| r.get_bool("ok") == Some(true));
-        let snap_line = resps
-            .get(1)
-            .filter(|r| r.get_bool("ok") == Some(true))
-            .and_then(|r| r.get_str("snapshot"))
-            .unwrap_or_else(|| die("daemon did not answer the metrics request"));
-        let snap = parse(snap_line)
-            .unwrap_or_else(|e| die(&format!("bad metrics snapshot from daemon: {e}")));
-        let text = if o.prom {
-            render_prom(status, &snap)
-        } else {
-            render_human(status, &snap, prev.as_ref())
-        };
-        match o.watch {
-            Some(secs) => {
-                // Clear + home, then redraw in place: under load the eye
-                // stays on one position and the delta column shows what
-                // moved this tick.
-                tick += 1;
-                print!("\x1b[2J\x1b[H");
-                println!("nsc-client metrics --watch {secs}  (tick {tick}, ctrl-c to stop)");
-                println!("{}", window_headline(&o));
-                print!("{text}");
-                use std::io::Write as _;
-                let _ = std::io::stdout().flush();
-                prev = Some(counter_values(&snap));
-                std::thread::sleep(std::time::Duration::from_secs(secs));
-            }
-            None => {
-                print!("{text}");
-                break;
-            }
-        }
-    }
-}
-
-/// The daemon-side per-window rates headline for watch mode, from the
-/// newest timeline frame (empty-signal fields render as `-`).
-fn window_headline(o: &Opts) -> String {
-    let resps = match roundtrip(&o.socket, &[Request::Timeline { id: 3, since: 0 }]) {
+    let reqs = [Request::Status { id: 1 }, Request::Metrics { id: 2 }];
+    let resps = match roundtrip(&o.socket, &reqs) {
         Ok(r) => r,
-        Err(_) => return "window: (timeline unavailable)".to_owned(),
+        Err(e) => die(&format!("{}: {e}", o.socket.display())),
     };
-    let Some(resp) = resps.into_iter().next().filter(|r| r.get_bool("ok") == Some(true)) else {
-        return "window: (timeline unavailable)".to_owned();
-    };
-    if resp.get_num("sample_ms") == Some(0) {
-        return "window: (sampler disabled: NSC_SAMPLE_MS=0)".to_owned();
+    let status = resps.first().filter(|r| r.get_bool("ok") == Some(true));
+    let snap_line = resps
+        .get(1)
+        .filter(|r| r.get_bool("ok") == Some(true))
+        .and_then(|r| r.get_str("snapshot"))
+        .unwrap_or_else(|| die("daemon did not answer the metrics request"));
+    let snap = parse(snap_line)
+        .unwrap_or_else(|e| die(&format!("bad metrics snapshot from daemon: {e}")));
+    if o.prom {
+        print!("{}", render_prom(status, &snap));
+    } else {
+        print!("{}", render_human(status, &snap));
     }
-    let Some(last) = resp.get_str("frames").unwrap_or("").lines().last().map(str::to_owned)
-    else {
-        return "window: (no frames yet)".to_owned();
-    };
-    let Ok(f) = parse(&last) else { return "window: (bad frame)".to_owned() };
-    let num = |k: &str| f.get(k).and_then(Json::as_f64);
-    let opt = |k: &str| num(k).map(fmt_stat).unwrap_or_else(|| "-".to_owned());
-    format!(
-        "window: {}ms  req/s {}  shed/s {}  p50 {}µs  p99 {}µs  hit {}",
-        num("window_ms").unwrap_or(0.0),
-        opt("req_s"),
-        opt("shed_s"),
-        opt("p50_us"),
-        opt("p99_us"),
-        opt("hit_rate"),
-    )
-}
-
-/// Flattens the snapshot's counters object into name → value.
-fn counter_values(snap: &Json) -> std::collections::BTreeMap<String, f64> {
-    obj(snap, "counters")
-        .into_iter()
-        .flatten()
-        .map(|(label, v)| (label.clone(), v.as_f64().unwrap_or(0.0)))
-        .collect()
 }
 
 /// `noc.byte_hops` -> `nsc_noc_byte_hops` (Prometheus metric names allow
@@ -380,11 +277,7 @@ fn render_prom(status: Option<&nsc_serve::json::Obj>, snap: &Json) -> String {
     out
 }
 
-fn render_human(
-    status: Option<&nsc_serve::json::Obj>,
-    snap: &Json,
-    prev: Option<&std::collections::BTreeMap<String, f64>>,
-) -> String {
+fn render_human(status: Option<&nsc_serve::json::Obj>, snap: &Json) -> String {
     let mut out = String::new();
     if let Some(st) = status {
         let uptime_s = st.get_num("uptime_ms").unwrap_or(0) as f64 / 1e3;
@@ -405,18 +298,7 @@ fn render_human(
     for (label, v) in obj(snap, "counters").into_iter().flatten() {
         let v = v.as_f64().unwrap_or(0.0);
         if v != 0.0 {
-            match prev {
-                Some(p) => {
-                    // A counter that went backwards means the daemon
-                    // restarted (fresh registry) under our watch: mark
-                    // the reset instead of printing a bogus negative
-                    // (or, with `+`, nonsensical) delta.
-                    let delta = v - p.get(label).copied().unwrap_or(0.0);
-                    let cell = if delta < 0.0 { "reset".to_owned() } else { format!("+{delta}") };
-                    out.push_str(&format!("  {label:40} {v:>12} {cell:>10}\n"));
-                }
-                None => out.push_str(&format!("  {label:40} {v}\n")),
-            }
+            out.push_str(&format!("  {label:40} {v}\n"));
         }
     }
     out.push_str("gauges:\n");
@@ -643,294 +525,6 @@ fn print_inspect_summary(b: &InspectBody) {
             k.hits,
         );
     }
-}
-
-/// One `timeline` roundtrip: each frame as its raw wire line (printed
-/// verbatim so byte order survives) plus its parsed document, oldest
-/// first, with the response's cursor metadata `(latest_seq, sample_ms)`.
-fn fetch_frames(o: &Opts, since: u64) -> (Vec<(String, Json)>, u64, u64) {
-    let resps = match roundtrip(&o.socket, &[Request::Timeline { id: 1, since }]) {
-        Ok(r) => r,
-        Err(e) => die(&format!("{}: {e}", o.socket.display())),
-    };
-    let resp = resps
-        .first()
-        .filter(|r| r.get_bool("ok") == Some(true))
-        .unwrap_or_else(|| die("daemon did not answer the timeline request"));
-    let frames = resp
-        .get_str("frames")
-        .unwrap_or("")
-        .lines()
-        .map(|l| {
-            let doc = parse(l).unwrap_or_else(|e| die(&format!("bad frame from daemon: {e}")));
-            (l.to_owned(), doc)
-        })
-        .collect();
-    (frames, resp.get_num("latest_seq").unwrap_or(0), resp.get_num("sample_ms").unwrap_or(0))
-}
-
-/// `nsc-client timeline`: dump the daemon's sampled telemetry ring as
-/// ndjson (one `nsc-timeline-v1` frame per line). `--since N` pages
-/// from a cursor; `--follow` keeps polling at the daemon's sampling
-/// interval and streams frames as they land.
-fn timeline_cmd(o: Opts) {
-    if !o.words.is_empty() {
-        die("timeline takes no positional arguments");
-    }
-    let mut cursor = o.since;
-    loop {
-        let (frames, latest, sample_ms) = fetch_frames(&o, cursor);
-        // write!, not println!: this output exists to be piped (`| head`,
-        // `| jq`), and the reader closing early is a normal exit, not a
-        // broken-pipe panic.
-        use std::io::Write as _;
-        let mut stdout = std::io::stdout().lock();
-        for (line, _) in &frames {
-            if writeln!(stdout, "{line}").is_err() {
-                return;
-            }
-        }
-        let _ = stdout.flush();
-        drop(stdout);
-        if !o.follow {
-            if frames.is_empty() {
-                eprintln!(
-                    "  no frames{}",
-                    if sample_ms == 0 { " (sampler disabled: NSC_SAMPLE_MS=0)" } else { "" }
-                );
-            }
-            break;
-        }
-        cursor = cursor.max(latest);
-        if sample_ms == 0 {
-            die("cannot --follow: the daemon's sampler is disabled (NSC_SAMPLE_MS=0)");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(sample_ms.max(100)));
-    }
-}
-
-/// `nsc-client health`: the daemon's SLO verdict. Rule-evidence ndjson
-/// goes to stdout (scripts parse it); a human summary to stderr. Exits
-/// 0 whenever a verdict was obtained — the verdict itself is data, not
-/// an error (watchdogs can grep for `failing`).
-fn health_cmd(o: Opts) {
-    if !o.words.is_empty() {
-        die("health takes no positional arguments");
-    }
-    let resps = match roundtrip(&o.socket, &[Request::Health { id: 1 }]) {
-        Ok(r) => r,
-        Err(e) => die(&format!("{}: {e}", o.socket.display())),
-    };
-    let resp = resps
-        .first()
-        .filter(|r| r.get_bool("ok") == Some(true))
-        .unwrap_or_else(|| die("daemon did not answer the health request"));
-    print!("{}", resp.get_str("rules").unwrap_or(""));
-    eprintln!(
-        "  verdict: {} ({} frames of evidence)",
-        resp.get_str("verdict").unwrap_or("?"),
-        resp.get_num("frames_seen").unwrap_or(0),
-    );
-}
-
-/// `nsc-client dashboard --out FILE`: render the daemon's timeline into
-/// one self-contained HTML file — inline CSS, hand-rolled inline SVG
-/// sparklines, zero external assets, works from file:// offline.
-fn dashboard_cmd(o: Opts) {
-    if !o.words.is_empty() {
-        die("dashboard takes no positional arguments");
-    }
-    let Some(out_path) = o.out.clone() else { die("dashboard requires --out FILE") };
-    let reqs = [Request::Status { id: 1 }, Request::Health { id: 2 }];
-    let resps = match roundtrip(&o.socket, &reqs) {
-        Ok(r) => r,
-        Err(e) => die(&format!("{}: {e}", o.socket.display())),
-    };
-    let status = resps.first().filter(|r| r.get_bool("ok") == Some(true)).cloned();
-    let health = resps.get(1).filter(|r| r.get_bool("ok") == Some(true)).cloned();
-    let (frames, latest, sample_ms) = fetch_frames(&o, 0);
-    let html = render_dashboard(status.as_ref(), health.as_ref(), &frames, latest, sample_ms);
-    if let Err(e) = std::fs::write(&out_path, html) {
-        die(&format!("writing {}: {e}", out_path.display()));
-    }
-    eprintln!("  wrote dashboard ({} frames) to {}", frames.len(), out_path.display());
-}
-
-/// Pulls one numeric series out of the parsed frames; `None` entries
-/// are windows without signal (rendered as gaps).
-fn series(frames: &[(String, Json)], key: &str) -> Vec<Option<f64>> {
-    frames.iter().map(|(_, f)| f.get(key).and_then(Json::as_f64)).collect()
-}
-
-/// A hand-rolled inline SVG sparkline: one polyline per contiguous run
-/// of present values, min/max labels, no external anything.
-fn sparkline_svg(vals: &[Option<f64>], w: f64, h: f64) -> String {
-    let present: Vec<f64> = vals.iter().filter_map(|v| *v).collect();
-    if present.is_empty() {
-        return format!(
-            "<svg viewBox=\"0 0 {w} {h}\" class=\"spark\"><text x=\"{}\" y=\"{}\" \
-             class=\"nodata\">no data</text></svg>",
-            w / 2.0,
-            h / 2.0,
-        );
-    }
-    let (lo, hi) = present
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-    let span = if (hi - lo).abs() < 1e-12 { 1.0 } else { hi - lo };
-    let n = vals.len().max(2);
-    let x = |i: usize| (i as f64 / (n - 1) as f64) * (w - 4.0) + 2.0;
-    let y = |v: f64| h - 14.0 - ((v - lo) / span) * (h - 22.0);
-    let mut polylines = String::new();
-    let mut run: Vec<String> = Vec::new();
-    let mut flush = |run: &mut Vec<String>| {
-        match run.len() {
-            0 => {}
-            // An isolated point has no line to draw; mark it visibly.
-            1 => polylines.push_str(&format!(
-                "<circle cx=\"{}\" r=\"1.5\" class=\"pt\"/>",
-                run[0].replace(',', "\" cy=\"")
-            )),
-            _ => polylines
-                .push_str(&format!("<polyline points=\"{}\" class=\"line\"/>", run.join(" "))),
-        }
-        run.clear();
-    };
-    for (i, v) in vals.iter().enumerate() {
-        match v {
-            Some(v) => run.push(format!("{:.1},{:.1}", x(i), y(*v))),
-            None => flush(&mut run),
-        }
-    }
-    flush(&mut run);
-    format!(
-        "<svg viewBox=\"0 0 {w} {h}\" class=\"spark\">{polylines}\
-         <text x=\"2\" y=\"{}\" class=\"lo\">{}</text>\
-         <text x=\"2\" y=\"10\" class=\"hi\">{}</text></svg>",
-        h - 2.0,
-        fmt_stat(lo),
-        fmt_stat(hi),
-    )
-}
-
-/// Compact human number for tiles and sparkline min/max labels.
-fn fmt_stat(v: f64) -> String {
-    if v.abs() >= 1e6 {
-        format!("{:.1}M", v / 1e6)
-    } else if v.abs() >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else if v.fract() == 0.0 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.2}")
-    }
-}
-
-fn render_dashboard(
-    status: Option<&nsc_serve::json::Obj>,
-    health: Option<&nsc_serve::json::Obj>,
-    frames: &[(String, Json)],
-    latest_seq: u64,
-    sample_ms: u64,
-) -> String {
-    let verdict = health.and_then(|h| h.get_str("verdict")).unwrap_or("unknown").to_owned();
-    let mut tiles = String::new();
-    let mut tile = |label: &str, value: String, class: &str| {
-        tiles.push_str(&format!(
-            "<div class=\"tile {class}\"><div class=\"v\">{value}</div>\
-             <div class=\"l\">{label}</div></div>"
-        ));
-    };
-    tile("health", verdict.clone(), &format!("verdict-{verdict}"));
-    if let Some(st) = status {
-        let uptime_s = st.get_num("uptime_ms").unwrap_or(0) as f64 / 1e3;
-        tile("uptime", format!("{uptime_s:.0}s"), "");
-        tile("completed", fmt_stat(st.get_num("served").unwrap_or(0) as f64), "");
-        tile(
-            "queue",
-            format!(
-                "{}/{}",
-                st.get_num("queue_depth").unwrap_or(0),
-                st.get_num("queue_cap").unwrap_or(0)
-            ),
-            "",
-        );
-        tile(
-            "conns",
-            format!(
-                "{}/{}",
-                st.get_num("conns").unwrap_or(0),
-                st.get_num("max_conns").unwrap_or(0)
-            ),
-            "",
-        );
-        tile(
-            "cache h/m",
-            format!(
-                "{}/{}",
-                st.get_num("cache_hits").unwrap_or(0),
-                st.get_num("cache_misses").unwrap_or(0)
-            ),
-            "",
-        );
-        tile("workers", st.get_num("jobs").unwrap_or(0).to_string(), "");
-    }
-    let mut charts = String::new();
-    for (label, key) in [
-        ("requests / s", "req_s"),
-        ("p50 µs", "p50_us"),
-        ("p99 µs", "p99_us"),
-        ("p999 µs", "p999_us"),
-        ("sheds / s", "shed_s"),
-        ("cache hit rate", "hit_rate"),
-        ("queue high-water", "queue_hwm"),
-    ] {
-        charts.push_str(&format!(
-            "<div class=\"chart\"><h2>{label}</h2>{}</div>",
-            sparkline_svg(&series(frames, key), 280.0, 64.0)
-        ));
-    }
-    let rules = health.and_then(|h| h.get_str("rules")).unwrap_or("").to_owned();
-    let mut rule_rows = String::new();
-    for line in rules.lines() {
-        let Ok(doc) = parse(line) else { continue };
-        let Some(rule) = doc.get("rule").and_then(Json::as_str) else { continue };
-        let breached = matches!(doc.get("breached"), Some(Json::Bool(true)));
-        rule_rows.push_str(&format!(
-            "<tr class=\"{}\"><td>{rule}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            if breached { "breach" } else { "pass" },
-            doc.get("threshold").and_then(Json::as_f64).map(fmt_stat).unwrap_or_default(),
-            doc.get("value").and_then(Json::as_f64).map(fmt_stat).unwrap_or_else(|| "–".into()),
-            if breached { "breached" } else { "ok" },
-            doc.get("streak").and_then(Json::as_f64).unwrap_or(0.0),
-        ));
-    }
-    format!(
-        "<!doctype html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\
-<title>nscd dashboard</title>\n<style>\n\
-body{{background:#14161a;color:#d8dce2;font:14px/1.4 ui-monospace,monospace;margin:24px}}\n\
-h1{{font-size:18px;margin:0 0 4px}} h2{{font-size:12px;font-weight:normal;color:#8a93a0;margin:0 0 4px}}\n\
-.sub{{color:#8a93a0;font-size:12px;margin-bottom:16px}}\n\
-.tiles{{display:flex;flex-wrap:wrap;gap:12px;margin-bottom:20px}}\n\
-.tile{{background:#1d2026;border:1px solid #2a2e36;border-radius:6px;padding:10px 16px;min-width:90px}}\n\
-.tile .v{{font-size:20px}} .tile .l{{font-size:11px;color:#8a93a0}}\n\
-.verdict-ok .v{{color:#5fd38a}} .verdict-degraded .v{{color:#e8c268}} .verdict-failing .v{{color:#e86868}}\n\
-.charts{{display:flex;flex-wrap:wrap;gap:16px}}\n\
-.chart{{background:#1d2026;border:1px solid #2a2e36;border-radius:6px;padding:10px}}\n\
-.spark{{width:280px;height:64px}} .line{{fill:none;stroke:#6aa7e8;stroke-width:1.5}}\n\
-.pt{{fill:#6aa7e8}} .lo,.hi,.nodata{{fill:#5c6470;font-size:9px}}\n\
-table{{border-collapse:collapse;margin-top:20px}} td,th{{border:1px solid #2a2e36;padding:4px 12px;font-size:12px}}\n\
-th{{color:#8a93a0;font-weight:normal;text-align:left}}\n\
-.breach td{{color:#e86868}} .pass td:nth-child(4){{color:#5fd38a}}\n\
-</style></head><body>\n\
-<h1>nscd telemetry</h1>\n\
-<div class=\"sub\">{n} frames · latest seq {latest_seq} · sampled every {sample_ms}ms · schema nsc-timeline-v1</div>\n\
-<div class=\"tiles\">{tiles}</div>\n\
-<div class=\"charts\">{charts}</div>\n\
-<table><tr><th>SLO rule</th><th>threshold</th><th>value</th><th>state</th><th>streak</th></tr>{rule_rows}</table>\n\
-</body></html>\n",
-        n = frames.len(),
-    )
 }
 
 /// `nsc-client trace REQUEST_ID`: print one request's span tree as

@@ -22,13 +22,6 @@
 //! `retry_after_ms` hint; cache hits are still answered in degraded
 //! mode), and `NSC_DEADLINE_MS` sets a default per-run deadline
 //! enforced at dequeue.
-//!
-//! Telemetry timeline (see `nsc_sim::timeline`): a sampler thread
-//! snapshots the metrics registry every `NSC_SAMPLE_MS` (default
-//! 1000 ms; 0 spawns no thread at all) into a `NSC_TIMELINE_CAP`-frame
-//! ring served by the `timeline` op, and the `health` op evaluates it
-//! against the `NSC_SLO_*` thresholds into an `ok`/`degraded`/
-//! `failing` verdict.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -52,16 +45,6 @@ Environment:
                    0 disables (default 0)
   NSC_FAULT_RATE   arm deterministic chaos for every run (content-
                    derived plans: replays are bit-identical)
-  NSC_SAMPLE_MS    telemetry sampling cadence for the `timeline` op;
-                   0 disables the sampler thread entirely (default 1000)
-  NSC_TIMELINE_CAP frames kept in the telemetry ring (default 900 —
-                   15 minutes at the default cadence)
-  NSC_SLO_P99_US   `health` threshold: windowed p99 above this breaches
-                   (µs; 0 disables the rule; default 50000)
-  NSC_SLO_SHED_RATE `health` threshold: window shed ratio above this
-                   breaches (0 disables; default 0.05)
-  NSC_SLO_HIT_RATE `health` threshold: window cache hit rate *below*
-                   this breaches (default 0 = disabled)
 
 Stop it with `nsc-client shutdown` (graceful: new submits are rejected
 with typed `shutting_down` sheds while admitted runs drain).";

@@ -28,10 +28,8 @@
 //! {"op":"trace","id":5,"request_id":81985529216486895}
 //! {"op":"inspect","id":6}
 //! {"op":"inspect","id":7,"key":"00c5…32 hex digits…9e"}
-//! {"op":"timeline","id":8,"since":41}
-//! {"op":"health","id":9}
-//! {"op":"flush","id":10}
-//! {"op":"shutdown","id":11}
+//! {"op":"flush","id":8}
+//! {"op":"shutdown","id":9}
 //! ```
 //!
 //! and back, in submission order:
@@ -43,8 +41,8 @@
 //! {"id":4,"ok":true,"count":17,"dropped":0,"lines":"{...}\n{...}\n"}
 //! {"id":5,"ok":true,"request_id":81985529216486895,"wall_us":812,"spans":9,"tree":"{...}"}
 //! {"id":6,"ok":true,"enabled":true,"hot_hits":8,"hot_bytes":41320,"cold_evictions":2,...,"hottest":"00c5…9e:5 77ab…01:2"}
-//! {"id":8,"ok":true,"count":2,"latest_seq":43,"cap":900,"sample_ms":1000,"frames":"{...}\n{...}\n"}
-//! {"id":9,"ok":true,"verdict":"ok","frames_seen":43,"rules":"{...}\n{...}\n"}
+//! {"id":8,"ok":true,"flushed":7}
+//! {"id":9,"ok":true}
 //! ```
 //!
 //! Both sides of the protocol have typed spellings: [`Request`] for the
@@ -103,21 +101,11 @@ pub mod server;
 use json::Obj;
 use near_stream::request::{self, CachedRun};
 use near_stream::{ExecMode, RunResult};
-use nsc_bench::size_from_str;
+use nsc_bench::{size_from_str, size_label};
 use nsc_sim::cache::{self, CacheStore, TierStats, TieredCache};
 use nsc_sim::span::SpanTrace;
 use nsc_sim::fault::FaultStats;
 use nsc_workloads::Size;
-
-/// The spelling of a [`Size`] on the wire (inverse of
-/// [`nsc_bench::size_from_str`]).
-pub fn size_label(size: Size) -> &'static str {
-    match size {
-        Size::Tiny => "tiny",
-        Size::Small => "small",
-        Size::Paper => "paper",
-    }
-}
 
 /// A parsed protocol request.
 #[derive(Clone, Debug, PartialEq)]
@@ -176,20 +164,6 @@ pub enum Request {
         /// Optional 32-hex-digit cache key to probe individually.
         key: Option<String>,
     },
-    /// Fetch sampled telemetry frames newer than a cursor
-    /// (`nsc-timeline-v1`; see [`nsc_sim::timeline`]).
-    Timeline {
-        /// Correlation id.
-        id: u64,
-        /// Cursor: the highest frame `seq` the client has already
-        /// seen (0 = everything the ring retains).
-        since: u64,
-    },
-    /// Evaluate the daemon's SLO rules into a typed verdict.
-    Health {
-        /// Correlation id.
-        id: u64,
-    },
     /// Drain: respond once every earlier request has been answered.
     Flush {
         /// Correlation id.
@@ -240,11 +214,6 @@ impl Request {
                 let key = obj.get_str("key").map(str::to_owned);
                 Ok(Request::Inspect { id, key })
             }
-            "timeline" => {
-                let since = obj.get_num("since").unwrap_or(0);
-                Ok(Request::Timeline { id, since })
-            }
-            "health" => Ok(Request::Health { id }),
             "flush" => Ok(Request::Flush { id }),
             "shutdown" => Ok(Request::Shutdown { id }),
             other => Err((id, format!("unknown op: {other:?}"))),
@@ -289,14 +258,6 @@ impl Request {
                 }
                 o.render()
             }
-            Request::Timeline { id, since } => {
-                let mut o = Obj::new().str("op", "timeline").num("id", *id);
-                if *since != 0 {
-                    o = o.num("since", *since);
-                }
-                o.render()
-            }
-            Request::Health { id } => Obj::new().str("op", "health").num("id", *id).render(),
             Request::Flush { id } => Obj::new().str("op", "flush").num("id", *id).render(),
             Request::Shutdown { id } => Obj::new().str("op", "shutdown").num("id", *id).render(),
         }
@@ -311,8 +272,6 @@ impl Request {
             | Request::Logs { id }
             | Request::Trace { id, .. }
             | Request::Inspect { id, .. }
-            | Request::Timeline { id, .. }
-            | Request::Health { id }
             | Request::Flush { id }
             | Request::Shutdown { id } => *id,
         }
@@ -458,37 +417,6 @@ pub enum Response {
         id: u64,
         /// The cache report.
         body: InspectBody,
-    },
-    /// Sampled telemetry frames (`timeline`).
-    Timeline {
-        /// Correlation id.
-        id: u64,
-        /// Frames returned (those with `seq > since`).
-        count: u64,
-        /// Highest frame `seq` the daemon has recorded (the client's
-        /// next cursor), 0 when the sampler has not fired yet.
-        latest_seq: u64,
-        /// Ring capacity (`NSC_TIMELINE_CAP`).
-        cap: u64,
-        /// Sampler interval in ms (0 = sampling disabled).
-        sample_ms: u64,
-        /// The frames as `nsc-timeline-v1` ndjson (one frame per
-        /// line), carried as an escaped string field like `metrics`'
-        /// `snapshot`.
-        frames: String,
-    },
-    /// An SLO evaluation (`health`).
-    Health {
-        /// Correlation id.
-        id: u64,
-        /// Typed verdict: `ok`, `degraded` or `failing`.
-        verdict: String,
-        /// Number of frames the evaluation could see.
-        frames_seen: u64,
-        /// Per-rule evidence plus the verdict line, as ndjson (same
-        /// document [`nsc_sim::timeline::HealthReport::to_ndjson`]
-        /// renders).
-        rules: String,
     },
     /// The drain barrier answered (`flush`).
     Flush {
@@ -652,20 +580,6 @@ impl Response {
                 }
                 o
             }
-            Response::Timeline { id, count, latest_seq, cap, sample_ms, frames } => Obj::new()
-                .num("id", *id)
-                .bool("ok", true)
-                .num("count", *count)
-                .num("latest_seq", *latest_seq)
-                .num("cap", *cap)
-                .num("sample_ms", *sample_ms)
-                .str("frames", frames),
-            Response::Health { id, verdict, frames_seen, rules } => Obj::new()
-                .num("id", *id)
-                .bool("ok", true)
-                .str("verdict", verdict)
-                .num("frames_seen", *frames_seen)
-                .str("rules", rules),
             Response::Flush { id, flushed } => {
                 Obj::new().num("id", *id).bool("ok", true).num("flushed", *flushed)
             }
@@ -790,24 +704,6 @@ impl Response {
                 },
             });
         }
-        if let Some(frames) = obj.get_str("frames") {
-            return Some(Response::Timeline {
-                id,
-                count: obj.get_num("count")?,
-                latest_seq: obj.get_num("latest_seq")?,
-                cap: obj.get_num("cap")?,
-                sample_ms: obj.get_num("sample_ms")?,
-                frames: frames.to_owned(),
-            });
-        }
-        if let Some(verdict) = obj.get_str("verdict") {
-            return Some(Response::Health {
-                id,
-                verdict: verdict.to_owned(),
-                frames_seen: obj.get_num("frames_seen")?,
-                rules: obj.get_str("rules").unwrap_or_default().to_owned(),
-            });
-        }
         if let Some(flushed) = obj.get_num("flushed") {
             return Some(Response::Flush { id, flushed });
         }
@@ -845,8 +741,6 @@ impl Response {
             | Response::Logs { id, .. }
             | Response::Trace { id, .. }
             | Response::Inspect { id, .. }
-            | Response::Timeline { id, .. }
-            | Response::Health { id, .. }
             | Response::Flush { id, .. }
             | Response::Shutdown { id }
             | Response::Shed { id, .. }
@@ -1059,9 +953,6 @@ mod tests {
             Request::Trace { id: 11, request_id: 78, perfetto: true },
             Request::Inspect { id: 13, key: None },
             Request::Inspect { id: 14, key: Some("00112233445566778899aabbccddeeff".into()) },
-            Request::Timeline { id: 15, since: 0 },
-            Request::Timeline { id: 16, since: 42 },
-            Request::Health { id: 17 },
             Request::Flush { id: 6 },
             Request::Shutdown { id: 7 },
         ];
@@ -1165,28 +1056,6 @@ mod tests {
                     }),
                 },
             },
-            Response::Timeline {
-                id: 15,
-                count: 2,
-                latest_seq: 9,
-                cap: 900,
-                sample_ms: 1000,
-                frames: "{\"schema\":\"nsc-timeline-v1\",\"seq\":8}\n{\"schema\":\"nsc-timeline-v1\",\"seq\":9}\n".into(),
-            },
-            Response::Timeline {
-                id: 16,
-                count: 0,
-                latest_seq: 0,
-                cap: 900,
-                sample_ms: 0,
-                frames: String::new(),
-            },
-            Response::Health {
-                id: 17,
-                verdict: "degraded".into(),
-                frames_seen: 5,
-                rules: "{\"rule\":\"p99_us\",\"breached\":true}\n".into(),
-            },
             Response::Flush { id: 9, flushed: 4 },
             Response::Shutdown { id: 10 },
             Response::Shed {
@@ -1267,9 +1136,15 @@ mod tests {
     fn bad_requests_keep_their_id() {
         assert_eq!(Request::parse("not json").unwrap_err().0, 0);
         assert_eq!(Request::parse("{\"op\":\"run\"}").unwrap_err().0, 0);
-        let (id, msg) = Request::parse("{\"id\":9,\"op\":\"warp\"}").unwrap_err();
-        assert_eq!(id, 9);
-        assert!(msg.contains("unknown op"));
+        for (line, want) in [
+            ("{\"id\":9,\"op\":\"warp\"}", 9),
+            ("{\"id\":5,\"op\":\"timeline\"}", 5),
+            ("{\"id\":6,\"op\":\"health\"}", 6),
+        ] {
+            let (id, msg) = Request::parse(line).unwrap_err();
+            assert_eq!(id, want, "line: {line}");
+            assert!(msg.contains("unknown op"), "line: {line}, got: {msg}");
+        }
         let (id, _) = Request::parse("{\"id\":9,\"op\":\"run\",\"workload\":\"x\",\"size\":\"huge\"}")
             .unwrap_err();
         assert_eq!(id, 9);

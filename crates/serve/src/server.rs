@@ -99,7 +99,6 @@ use nsc_sim::fault::{self, FaultPlan};
 use nsc_sim::log;
 use nsc_sim::metrics::{self, Gauge, Hist, Metric, Registry};
 use nsc_sim::span::{self, SpanTrace, SpanTree};
-use nsc_sim::timeline::{self, SloConfig, Timeline};
 use nsc_sim::trace::{self, RingRecorder, TraceEvent};
 use nsc_sim::pool::ThreadPool;
 use nsc_workloads::Size;
@@ -141,14 +140,6 @@ pub struct ServeConfig {
     /// `deadline_ms` of its own; 0 disables (`NSC_DEADLINE_MS`,
     /// default 0).
     pub deadline_ms: u64,
-    /// Telemetry sampler interval in ms; 0 disables the sampler thread
-    /// entirely — no thread is spawned and the timeline stays empty
-    /// (`NSC_SAMPLE_MS`, default 1000).
-    pub sample_ms: u64,
-    /// Timeline ring capacity in frames; oldest frames are evicted
-    /// beyond this (`NSC_TIMELINE_CAP`, default 900 — 15 minutes at the
-    /// default interval).
-    pub timeline_cap: usize,
 }
 
 impl ServeConfig {
@@ -162,8 +153,6 @@ impl ServeConfig {
             max_conns: (num("NSC_MAX_CONNS", 64) as usize).max(1),
             queue_cap: (num("NSC_QUEUE_CAP", 128) as usize).max(1),
             deadline_ms: num("NSC_DEADLINE_MS", 0),
-            sample_ms: num("NSC_SAMPLE_MS", timeline::DEFAULT_SAMPLE_MS),
-            timeline_cap: (num("NSC_TIMELINE_CAP", timeline::DEFAULT_CAP as u64) as usize).max(1),
         }
     }
 }
@@ -251,11 +240,6 @@ struct State {
     fault: Option<FaultPlan>,
     rid_seed: u64,
     rid_counter: AtomicU64,
-    /// Periodic registry samples appended by the sampler thread; empty
-    /// forever when `cfg.sample_ms == 0`.
-    timeline: Mutex<Timeline>,
-    /// SLO thresholds the `health` op evaluates against the timeline.
-    slo: SloConfig,
 }
 
 impl State {
@@ -277,8 +261,6 @@ impl State {
             fault: FaultPlan::from_env(),
             rid_seed,
             rid_counter: AtomicU64::new(0),
-            timeline: Mutex::new(Timeline::new(cfg.timeline_cap)),
-            slo: SloConfig::from_env(),
         }
     }
 
@@ -327,7 +309,7 @@ fn request_digest(workload: &str, size: Size, mode: ExecMode) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in workload
         .bytes()
-        .chain(crate::size_label(size).bytes())
+        .chain(nsc_bench::size_label(size).bytes())
         .chain(mode.label().bytes())
     {
         h ^= b as u64;
@@ -374,7 +356,7 @@ pub fn serve_with(socket: &Path, cfg: ServeConfig) -> io::Result<()> {
     let state = Arc::new(State::new(cfg, socket.to_owned(), rid_seed));
     log::info("nscd", || {
         format!(
-            "serving on {} jobs={} cache={} sim_trace={} max_conns={} queue_cap={} deadline_ms={} chaos={} sample_ms={}",
+            "serving on {} jobs={} cache={} sim_trace={} max_conns={} queue_cap={} deadline_ms={} chaos={}",
             socket.display(),
             cfg.jobs,
             cache::enabled(),
@@ -383,33 +365,7 @@ pub fn serve_with(socket: &Path, cfg: ServeConfig) -> io::Result<()> {
             cfg.queue_cap,
             cfg.deadline_ms,
             state.fault.is_some(),
-            cfg.sample_ms,
         )
-    });
-    // Telemetry sampler: one detached-by-join thread appending a frame
-    // to the timeline ring every `sample_ms`. At 0 nothing is spawned —
-    // the feature is fully off, not merely idle.
-    let sampler = (cfg.sample_ms > 0).then(|| {
-        let st = Arc::clone(&state);
-        std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let interval = st.cfg.sample_ms;
-            // Sleep in short chunks so shutdown is observed promptly
-            // even with a long sampling interval.
-            let chunk = std::time::Duration::from_millis(interval.clamp(1, 100));
-            let mut next = interval;
-            while !st.shutdown.load(Ordering::SeqCst) {
-                let now = t0.elapsed().as_millis() as u64;
-                if now >= next {
-                    let reg = metrics::global_snapshot();
-                    st.timeline.lock().unwrap_or_else(|e| e.into_inner()).sample(now, &reg);
-                    // Re-anchor instead of catching up: a stall produces
-                    // one wide window, not a burst of zero-width frames.
-                    next = now + interval;
-                }
-                std::thread::sleep(chunk);
-            }
-        })
     });
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for stream in listener.incoming() {
@@ -425,9 +381,6 @@ pub fn serve_with(socket: &Path, cfg: ServeConfig) -> io::Result<()> {
     }
     for c in conns {
         let _ = c.join();
-    }
-    if let Some(s) = sampler {
-        let _ = s.join();
     }
     let _ = std::fs::remove_file(socket);
     log::info("nscd", || {
@@ -970,40 +923,6 @@ fn handle_conn(st: &Arc<State>, mut stream: UnixStream) {
                 }) as Slot;
                 let _ = tx.send((seq, slot));
             }
-            Ok(Request::Timeline { id, since }) => {
-                let stc = Arc::clone(st);
-                // Delivery-time read: the cursor answer reflects every
-                // frame sampled up to the moment the response leaves the
-                // reorder buffer.
-                let slot = Box::new(move || {
-                    let tl = stc.timeline.lock().unwrap_or_else(|e| e.into_inner());
-                    Response::Timeline {
-                        id,
-                        count: tl.since(since).count() as u64,
-                        latest_seq: tl.latest().map_or(0, |f| f.seq),
-                        cap: tl.cap() as u64,
-                        sample_ms: stc.cfg.sample_ms,
-                        frames: tl.render_since(since),
-                    }
-                    .render()
-                }) as Slot;
-                let _ = tx.send((seq, slot));
-            }
-            Ok(Request::Health { id }) => {
-                let stc = Arc::clone(st);
-                let slot = Box::new(move || {
-                    let tl = stc.timeline.lock().unwrap_or_else(|e| e.into_inner());
-                    let report = timeline::evaluate(&stc.slo, &tl);
-                    Response::Health {
-                        id,
-                        verdict: report.verdict.label().to_owned(),
-                        frames_seen: report.frames_seen,
-                        rules: report.to_ndjson(),
-                    }
-                    .render()
-                }) as Slot;
-                let _ = tx.send((seq, slot));
-            }
             Ok(Request::Logs { id }) => {
                 // Delivery-time drain: records logged by earlier runs on
                 // this connection are already in the flight recorder.
@@ -1139,8 +1058,6 @@ mod tests {
             max_conns: 4,
             queue_cap: 4,
             deadline_ms: 0,
-            sample_ms: 0,
-            timeline_cap: 16,
         };
         State::new(cfg, PathBuf::new(), 42)
     }

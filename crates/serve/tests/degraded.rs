@@ -53,7 +53,7 @@ fn saturated_queue_still_answers_cache_hits() {
     // A stale socket file (earlier panicked run + recycled pid) would
     // satisfy `wait_for` before the daemon binds; clear it first.
     let _ = std::fs::remove_file(&socket);
-    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 1, deadline_ms: 0, sample_ms: 0, timeline_cap: 16 };
+    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 1, deadline_ms: 0 };
     let server = {
         let socket = socket.clone();
         std::thread::spawn(move || nsc_serve::server::serve_with(&socket, cfg))

@@ -76,7 +76,7 @@ fn full_admission_queue_sheds_with_retry_hint() {
     // One worker, one queue slot: the first run occupies both; every
     // further cold submit must shed immediately with a typed
     // `overloaded` response and a retry_after_ms hint — never queue.
-    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 1, deadline_ms: 0, sample_ms: 0, timeline_cap: 16 };
+    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 1, deadline_ms: 0 };
     let (socket, server) = start_daemon("admission", cfg);
     let resps = roundtrip(
         &socket,
@@ -106,7 +106,7 @@ fn expired_deadline_sheds_at_dequeue_with_span() {
     // One worker: the second run waits behind the first, its 1ms budget
     // expires in the queue, and it is shed *before* simulating — with
     // the deadline stamped into its span tree.
-    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 32, deadline_ms: 0, sample_ms: 0, timeline_cap: 16 };
+    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 32, deadline_ms: 0 };
     let (socket, server) = start_daemon("deadline", cfg);
     let resps = roundtrip(
         &socket,
@@ -142,7 +142,7 @@ fn expired_deadline_sheds_at_dequeue_with_span() {
 
 #[test]
 fn shutdown_rejects_new_submits_while_draining() {
-    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 32, deadline_ms: 0, sample_ms: 0, timeline_cap: 16 };
+    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 32, deadline_ms: 0 };
     let (socket, server) = start_daemon("drain", cfg);
     // Connection A stays interactive: submit one run, leave the
     // connection open.
@@ -186,7 +186,7 @@ fn shutdown_rejects_new_submits_while_draining() {
 
 #[test]
 fn resubmitted_request_id_replays_without_resimulating() {
-    let cfg = ServeConfig { jobs: 2, max_conns: 8, queue_cap: 32, deadline_ms: 0, sample_ms: 0, timeline_cap: 16 };
+    let cfg = ServeConfig { jobs: 2, max_conns: 8, queue_cap: 32, deadline_ms: 0 };
     let (socket, server) = start_daemon("dedup", cfg);
     let rid = 0xFACE;
     let first = roundtrip(&socket, &[run(7, rid, "histogram", 0)]).expect("first submit");
@@ -233,7 +233,7 @@ fn client_retry_drains_through_an_overloaded_daemon() {
     // Saturate a one-worker, one-slot daemon, then let the retry loop
     // (deterministic seed, tight backoff) carry every request to a
     // terminal success.
-    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 1, deadline_ms: 0, sample_ms: 0, timeline_cap: 16 };
+    let cfg = ServeConfig { jobs: 1, max_conns: 8, queue_cap: 1, deadline_ms: 0 };
     let (socket, server) = start_daemon("retry", cfg);
     let reqs =
         [run(1, 0xA1, "histogram", 0), run(2, 0xA2, "bin_tree", 0), run(3, 0xA3, "sssp", 0)];

@@ -247,8 +247,6 @@ fn disconnect_mid_stream_reaps_pending_work() {
             max_conns: 8,
             queue_cap: 64,
             deadline_ms: 0,
-            sample_ms: 0,
-            timeline_cap: 16,
         };
         std::thread::spawn(move || nsc_serve::server::serve_with(&socket, cfg))
     };

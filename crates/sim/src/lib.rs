@@ -30,7 +30,6 @@ pub mod rng;
 pub mod span;
 pub mod stats;
 pub mod time;
-pub mod timeline;
 pub mod trace;
 
 pub use error::SimError;

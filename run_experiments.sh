@@ -27,7 +27,7 @@ set -u
 SCALE="${1:---small}"
 cd "$(dirname "$0")"
 mkdir -p results
-cargo build --release -p nsc-bench -p nsc-serve 2>/dev/null
+cargo build --release -p nsc-bench 2>/dev/null
 BIN=target/release
 total_start=$SECONDS
 WALL_ENTRIES=""
@@ -46,29 +46,6 @@ for h in tab01_capabilities tab02_patterns tab03_stream_isas tab04_encoding \
     WALL_ENTRIES="$WALL_ENTRIES\"$h\":null,"
   fi
 done
-# Serving telemetry snapshot: a short-lived daemon under a small burst,
-# captured as the health verdict + self-contained dashboard HTML.
-echo "=== serving telemetry $SCALE ==="
-TL_SOCK="$(mktemp -u /tmp/nscd-exp-XXXXXX.sock)"
-NSC_SAMPLE_MS=200 NSC_CACHE_DIR=results/.cache \
-  $BIN/nscd --socket "$TL_SOCK" --jobs 2 2>/dev/null &
-TL_PID=$!
-for _ in $(seq 50); do [ -S "$TL_SOCK" ] && break; sleep 0.1; done
-if [ -S "$TL_SOCK" ]; then
-  $BIN/nsc_load --tiny --socket "$TL_SOCK" --secs 2 --rate 100 --conns 2 \
-    > results/serving_load.txt 2>&1 || echo "nsc_load FAILED"
-  sleep 0.5
-  $BIN/nsc-client health --socket "$TL_SOCK" \
-    > results/serving_health.json 2> results/serving_health.txt \
-    || echo "health FAILED"
-  $BIN/nsc-client dashboard --socket "$TL_SOCK" --out results/serving_dashboard.html \
-    2>/dev/null || echo "dashboard FAILED"
-  $BIN/nsc-client shutdown --socket "$TL_SOCK" > /dev/null 2>&1
-  wait "$TL_PID" 2>/dev/null
-else
-  echo "serving telemetry SKIPPED (daemon never bound its socket)"
-  kill "$TL_PID" 2>/dev/null
-fi
 total=$((SECONDS - total_start))
 printf '{"scale":"%s","jobs":"%s","harness_s":{%s},"total_s":%d}\n' \
   "$SCALE" "${NSC_JOBS:-auto}" "${WALL_ENTRIES%,}" "$total" > results/wall_clock.json

@@ -23,14 +23,10 @@
 #      daemon with fault injection armed — every request must get exactly
 #      one terminal response (typed sheds allowed, lost responses not)
 #      and the shed counters must surface in the Prometheus exporter,
-#  10. a timeline smoke: a one-worker daemon with a fast sampler under a
-#      short burst must accumulate >=3 monotone telemetry frames, answer
-#      `health` with a parseable verdict, and emit a dashboard HTML with
-#      zero external http(s) references,
-#  11. a compile smoke: fig09 at --tiny with NSC_COMPILE=0 (tree walker)
+#  10. a compile smoke: fig09 at --tiny with NSC_COMPILE=0 (tree walker)
 #      vs NSC_COMPILE=1 (register bytecode) must be byte-identical
 #      (stdout and host-stripped JSON),
-#  12. the repo benchmark (benchmark/run.sh, default arguments): every
+#  11. the repo benchmark (benchmark/run.sh, default arguments): every
 #      workload must report correct output and zero failed operations.
 #      Host time is not gated here; see benchmark/README.md for how a
 #      speed claim is measured.
@@ -246,45 +242,6 @@ grep -q '# TYPE nsc_serve_deadline_exceeded_total counter' "$PERF_TMP/soak-prom.
 ./target/release/nsc-client shutdown --socket "$SOAK_SOCK" > /dev/null
 wait "$SOAK_PID"
 echo "soak survived: one terminal response per request, typed sheds observable"
-
-echo "== timeline (sampler frames, health verdict, self-contained dashboard) =="
-# A one-worker daemon with a fast sampler under a short nsc_load burst:
-# the ring must accumulate frames with monotone timestamps, `health`
-# must produce a parseable verdict, and the dashboard artifact must be
-# fully self-contained (no external http(s) references).
-TL_SOCK="$PERF_TMP/nscd-tl.sock"
-NSC_CACHE_DIR="$PERF_TMP/nscd-tl-cache" NSC_SAMPLE_MS=100 NSC_QUEUE_CAP=16 \
-  ./target/release/nscd --socket "$TL_SOCK" --jobs 1 &
-TL_PID=$!
-wait_for_daemon "$TL_SOCK"
-./target/release/nsc_load --tiny --socket "$TL_SOCK" \
-  --secs 2 --rate 100 --conns 2 --seed 3 > /dev/null
-sleep 0.3
-./target/release/nsc-client timeline --socket "$TL_SOCK" > "$PERF_TMP/tl-frames.txt"
-awk -F'"t_ms":' '
-  NF < 2            { print "frame missing t_ms: " $0; exit 1 }
-  { split($2, a, ","); t = a[1] + 0
-    if (t < prev) { printf "t_ms went backwards: %d after %d\n", t, prev; exit 1 }
-    prev = t; n++ }
-  END { if (n < 3) { printf "only %d frames, want >=3\n", n; exit 1 }
-        printf "%d frames, timestamps monotone\n", n }' "$PERF_TMP/tl-frames.txt" \
-  || { cat "$PERF_TMP/tl-frames.txt"; exit 1; }
-grep -q '"schema":"nsc-timeline-v1"' "$PERF_TMP/tl-frames.txt" \
-  || { echo "frames missing schema tag"; exit 1; }
-./target/release/nsc-client health --socket "$TL_SOCK" \
-  > "$PERF_TMP/tl-health.txt" 2> "$PERF_TMP/tl-verdict.txt"
-grep -Eq '"verdict":"(ok|degraded|failing)"' "$PERF_TMP/tl-health.txt" \
-  || { echo "health verdict unparseable"; cat "$PERF_TMP/tl-health.txt"; exit 1; }
-./target/release/nsc-client dashboard --socket "$TL_SOCK" --out "$PERF_TMP/tl-dash.html"
-grep -q '<html' "$PERF_TMP/tl-dash.html" \
-  || { echo "dashboard is not HTML"; exit 1; }
-if grep -Eq 'https?://' "$PERF_TMP/tl-dash.html"; then
-  echo "dashboard references external assets"; grep -E 'https?://' "$PERF_TMP/tl-dash.html"
-  exit 1
-fi
-./target/release/nsc-client shutdown --socket "$TL_SOCK" > /dev/null
-wait "$TL_PID"
-echo "timeline sampled live, health answered, dashboard self-contained"
 
 echo "== compile (bytecode-vs-tree bit-identity) =="
 # The cost-guided plan pass lowers kernel expression trees to register
