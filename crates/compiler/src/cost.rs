@@ -8,41 +8,8 @@
 
 use crate::analysis::KernelAnalysis;
 use crate::assign::StreamAssignment;
-use nsc_ir::bytecode::LoweredStmt;
 use nsc_ir::program::StmtId;
 use std::collections::HashMap;
-
-/// Host-dispatch cost of one tree-walker `Expr` node: a recursive call, a
-/// boxed-pointer chase and an enum match per operator node, plus the leaf
-/// evaluations around it.
-pub const TREE_NODE_COST: f32 = 4.0;
-/// Host-dispatch cost of entering a statement on the tree walker (statement
-/// match plus leaf `Expr` evaluations bytecode gets for free as register
-/// reads).
-pub const TREE_STMT_COST: f32 = 3.0;
-/// Host-dispatch cost of one bytecode op: a flat match and three register
-/// indexes.
-pub const BC_OP_COST: f32 = 1.0;
-/// Host-dispatch cost of entering a lowered statement (span dispatch).
-pub const BC_STMT_COST: f32 = 1.0;
-
-/// Estimated per-execution host-dispatch saving of running a lowered
-/// statement as bytecode instead of walking its expression trees. Positive
-/// means bytecode wins.
-pub fn lowering_gain(lowered: &LoweredStmt) -> f32 {
-    let tree = TREE_STMT_COST + lowered.expr_nodes as f32 * TREE_NODE_COST;
-    let bc = BC_STMT_COST + lowered.ops as f32 * BC_OP_COST;
-    tree - bc
-}
-
-/// The plan-pass policy: keep the bytecode when the dispatch model says it
-/// is at least as cheap as the tree walker. Folding, CSE and hoisting only
-/// ever shrink the op count below the node count, so in practice bytecode
-/// wins for every statement shape — the tree fallback exists for register
-/// overflow, `NSC_COMPILE=0`, and future cost-model tuning.
-pub fn prefer_bytecode(lowered: &LoweredStmt) -> bool {
-    lowering_gain(lowered) >= 0.0
-}
 
 /// Core µops attributed to one memory-access statement, per execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

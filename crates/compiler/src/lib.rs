@@ -1,7 +1,7 @@
 //! The near-stream compiler: stream recognition and computation assignment
 //! over the `nsc-ir` loop-nest IR (paper §III-B).
 //!
-//! The compiler runs four passes per kernel:
+//! The compiler runs five passes per kernel:
 //!
 //! 1. **Analysis** ([`analysis`]): one walk collecting definition sites,
 //!    memory-access sites with loop context, and per-body compute µops.
@@ -14,6 +14,8 @@
 //!    narrowing load closures.
 //! 4. **Cost attribution** ([`cost`]): residual core work is distributed
 //!    over accesses so the timing models can charge it per event.
+//! 5. **Lowering**: the kernel's expression trees become register
+//!    bytecode ([`nsc_ir::bytecode`]), the one form every run executes.
 //!
 //! # Examples
 //!
@@ -39,13 +41,14 @@ pub mod analysis;
 pub mod assign;
 pub mod classify;
 pub mod cost;
-pub mod plan;
 pub mod stats;
 
+use nsc_ir::bytecode::KernelCode;
 use nsc_ir::program::{Program, StmtId};
 use nsc_ir::stream::{AddrPatternClass, StreamId, StreamInfo};
 use nsc_ir::ElemType;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use assign::MAX_STREAMS;
 pub use cost::SiteCost;
@@ -77,14 +80,20 @@ pub struct CompiledKernel {
     /// AVX-512-style vectorization factor for the core's execution of this
     /// kernel (1 = scalar).
     pub vector_width: u32,
-    /// Execution plan: the kernel's expression trees lowered to register
-    /// bytecode (see [`plan`]). `None` when `NSC_COMPILE=0` — the
-    /// interpreter then walks the trees. Excluded from the `RunRequest`
-    /// digest because results are bit-identical either way.
-    pub plan: Option<std::sync::Arc<nsc_ir::bytecode::KernelCode>>,
+    /// Execution plan: the kernel lowered to register bytecode. Always
+    /// `Some` (read it through [`code`](CompiledKernel::code)); the
+    /// `Option` survives only for external callers that still match on it.
+    /// Excluded from the `RunRequest` digest because it is a pure function
+    /// of the kernel, which the digest already covers.
+    pub plan: Option<Arc<KernelCode>>,
 }
 
 impl CompiledKernel {
+    /// The kernel's lowered bytecode, the form every run executes.
+    pub fn code(&self) -> &KernelCode {
+        self.plan.as_deref().expect("compile() lowers every kernel")
+    }
+
     /// The stream serving `stmt`, if any.
     pub fn stream_of(&self, stmt: StmtId) -> Option<&StreamInfo> {
         self.stmt_stream.get(&stmt).map(|id| &self.streams[id.0 as usize])
@@ -173,7 +182,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
                 sync_free: k.sync_free,
                 fully_decoupled,
                 vector_width,
-                plan: plan::plan_kernel(k),
+                plan: Some(Arc::new(KernelCode::compile(k))),
             }
         })
         .collect();
@@ -253,6 +262,22 @@ mod tests {
         let c = compile(&p);
         assert!(c.kernels[0].fully_decoupled);
         assert!(c.kernels[0].sync_free);
+    }
+
+    #[test]
+    fn plan_is_built_and_lowers_whole_kernel() {
+        let mut p = Program::new("t");
+        let a = p.array("a", ElemType::I64, 64);
+        let b = p.array("b", ElemType::I64, 64);
+        let mut k = KernelBuilder::new("k", 64);
+        let i = k.outer_var();
+        let v = k.load(a, Expr::var(i));
+        k.store(b, Expr::var(i), Expr::var(v) * Expr::imm(3) + Expr::imm(1));
+        p.push_kernel(k.finish());
+        let c = compile(&p);
+        let stats = c.kernels[0].code().stats;
+        assert_eq!(stats.tree_stmts, 0);
+        assert!(stats.ops > 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Dynamic µop accounting for Figure 1(a) and Figure 11.
 
 use crate::CompiledKernel;
+use nsc_ir::bytecode::KernelCode;
 use nsc_ir::interp::{self, FunctionalClient, MemClient};
 use nsc_ir::program::{ArrayId, Field, Program, StmtId};
 use nsc_ir::stream::ComputeClass;
@@ -58,11 +59,14 @@ pub fn run_with_counts(program: &Program, mem: &mut Memory, params: &[Scalar]) -
     let mut all = Vec::with_capacity(program.kernels.len());
     for k in &program.kernels {
         let trip = interp::outer_trip(k, params);
+        let code = KernelCode::compile(k);
+        let mut regs = Vec::new();
+        code.init_regs(&mut regs, params);
         let mut client = CountingClient::new(mem);
-        let mut locals = Vec::new();
         let mut acc: Option<Scalar> = None;
         for i in 0..trip {
-            let contrib = interp::exec_iteration(k, i, params, &mut client, &mut locals)
+            let contrib = code
+                .exec_iteration(i, params, &mut client, &mut regs)
                 .unwrap_or_else(|e| panic!("kernel {}: {e}", k.name));
             if let (Some(r), Some(c)) = (&k.outer_reduction, contrib) {
                 acc = Some(match acc {

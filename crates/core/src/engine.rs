@@ -1,11 +1,12 @@
 //! The per-core timing engine.
 //!
-//! An [`Engine`] implements [`nsc_ir::MemClient`]: the IR interpreter drives
-//! it through one outer-loop iteration at a time, and every memory access
-//! is charged to the cache hierarchy, NoC and stream engines according to
-//! the execution mode and the compiler's stream assignment. Functional
-//! semantics (the actual data values) are applied to the shared
-//! [`nsc_ir::Memory`], so every mode computes bit-identical results.
+//! An [`Engine`] implements [`nsc_ir::MemClient`]: the kernel's lowered
+//! bytecode drives it through one outer-loop iteration at a time, and
+//! every memory access is charged to the cache hierarchy, NoC and stream
+//! engines according to the execution mode and the compiler's stream
+//! assignment. Functional semantics (the actual data values) are applied
+//! to the shared [`nsc_ir::Memory`], so every mode computes bit-identical
+//! results.
 
 use crate::config::{ExecMode, SystemConfig};
 use crate::policy::OffloadStyle;
@@ -374,7 +375,7 @@ pub struct EngineRefs<'a> {
     pub scm: &'a mut [BandwidthLedger],
 }
 
-/// The per-iteration execution engine: interpreter memory client plus
+/// The per-iteration execution engine: bytecode memory client plus
 /// timing model.
 pub struct Engine<'a, 'r> {
     /// Core timing state.

@@ -14,7 +14,7 @@
 
 use crate::config::SystemConfig;
 use nsc_compiler::CompiledProgram;
-use nsc_ir::interp::{exec_iteration, outer_trip};
+use nsc_ir::interp::outer_trip;
 use nsc_ir::program::{ArrayId, Field, StmtId};
 use nsc_ir::stream::{AddrPatternClass, ComputeClass};
 use nsc_ir::types::{AtomicOp, Scalar};
@@ -204,9 +204,11 @@ pub fn ideal_traffic(
             })
         })
         .collect();
-    let mut locals = Vec::new();
+    let mut regs = Vec::new();
     for (kidx, kernel) in program.kernels.iter().enumerate() {
         let ck = &compiled.kernels[kidx];
+        let code = ck.code();
+        code.init_regs(&mut regs, params);
         let trip = outer_trip(kernel, params);
         let chunk = trip.div_ceil(n_cores as u64).max(1);
         // Loads consumed by offloaded writers (operands, indirect bases)
@@ -235,7 +237,8 @@ pub fn ideal_traffic(
                 n_banks: cfg.mem.n_banks() as u64,
                 forward_only: &forward_only,
             };
-            let contrib = exec_iteration(kernel, i, params, &mut client, &mut locals)
+            let contrib = code
+                .exec_iteration(i, params, &mut client, &mut regs)
                 .unwrap_or_else(|e| panic!("kernel {}: {e}", kernel.name));
             if let (Some(r), Some(c)) = (&kernel.outer_reduction, contrib) {
                 acc = Some(match acc {

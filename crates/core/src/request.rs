@@ -180,9 +180,8 @@ impl<'a> RunRequest<'a> {
             d.u64(k.sync_free as u64);
             d.u64(k.fully_decoupled as u64);
             d.u64(k.vector_width as u64);
-            // `k.plan` is deliberately NOT folded: bytecode vs tree-walker
-            // execution is bit-identical, so NSC_COMPILE=0/1 must hit the
-            // same cache records.
+            // `k.plan` is deliberately NOT folded: it is the kernel lowered
+            // to bytecode, a pure function of the program digested above.
         }
     }
 

@@ -5,7 +5,7 @@ use crate::config::{ExecMode, SystemConfig};
 use crate::engine::{offload_config_handshake, CoreState, Engine, EngineRefs, RoleCounters};
 use crate::policy::{fallback, offload_style, OffloadStyle, PolicyContext};
 use nsc_compiler::{CompiledKernel, CompiledProgram};
-use nsc_ir::interp::{exec_iteration, outer_trip, ExecError};
+use nsc_ir::interp::{outer_trip, ExecError};
 use nsc_ir::stream::{AddrPatternClass, ComputeClass};
 use nsc_ir::types::Scalar;
 use nsc_ir::{Memory, Program};
@@ -213,13 +213,12 @@ pub(crate) fn simulate(
         let mut next_iter: Vec<u64> = Vec::with_capacity(n_cores as usize);
         let mut end_iter: Vec<u64> = Vec::with_capacity(n_cores as usize);
         let mut partials: Vec<Option<Scalar>> = vec![None; n_cores as usize];
-        let mut locals_buf: Vec<Vec<Scalar>> = vec![Vec::new(); n_cores as usize];
-        // Compiled execution: pin params/consts and run the plan preamble
-        // once per core's register file.
-        if let Some(code) = ck.plan.as_deref() {
-            for lb in &mut locals_buf {
-                code.init_regs(lb, params);
-            }
+        // Pin params/consts and run the bytecode preamble once per core's
+        // register file.
+        let code = ck.code();
+        let mut regs: Vec<Vec<Scalar>> = vec![Vec::new(); n_cores as usize];
+        for r in &mut regs {
+            code.init_regs(r, params);
         }
         for c in 0..n_cores {
             let lo = (c as u64 * chunk).min(trip);
@@ -262,15 +261,13 @@ pub(crate) fn simulate(
                 cfg,
                 decoupled,
             };
-            let contrib = match ck.plan.as_deref() {
-                Some(code) => code.exec_iteration(iter, params, &mut engine, &mut locals_buf[ci]),
-                None => exec_iteration(kernel, iter, params, &mut engine, &mut locals_buf[ci]),
-            }
-            .map_err(|e| match e {
-                ExecError::LoopCap { cap } => {
-                    SimError::LoopCap { kernel: kernel.name.clone(), cap }
-                }
-            })?;
+            let contrib = code
+                .exec_iteration(iter, params, &mut engine, &mut regs[ci])
+                .map_err(|e| match e {
+                    ExecError::LoopCap { cap } => {
+                        SimError::LoopCap { kernel: kernel.name.clone(), cap }
+                    }
+                })?;
             cores[ci].end_iteration();
             if let (Some(r), Some(v)) = (&kernel.outer_reduction, contrib) {
                 partials[ci] = Some(match partials[ci] {

@@ -1,11 +1,13 @@
 //! Compiled stream execution: kernel `Expr` trees lowered to register
 //! bytecode.
 //!
-//! The tree walker in [`interp`](crate::interp) re-dispatches through boxed
-//! [`Expr`] nodes once per element per statement — the hottest path in every
-//! sweep. This module flattens each kernel's expressions into a compact
+//! Walking boxed [`Expr`] nodes re-dispatches once per element per
+//! statement, and expression evaluation is the hottest path in every sweep.
+//! This module flattens each kernel's expressions into a compact
 //! three-address bytecode over a flat register file: no `Box` chasing, no
-//! recursion, no per-element allocation.
+//! recursion, no per-element allocation. It is the only form any run
+//! executes; the tree walker in [`interp`](crate::interp) is the reference
+//! it is tested against.
 //!
 //! # Register file
 //!
@@ -16,8 +18,7 @@
 //! ```
 //!
 //! * **Locals** occupy the low registers, so [`VarId`] `v` *is* register
-//!   `v.0` and the tree-walker fallback can execute against
-//!   `&mut regs[..n_locals]` unchanged.
+//!   `v.0`.
 //! * **Params** are pinned once per kernel by [`KernelCode::init_regs`].
 //! * Everything above is allocated monotonically during lowering: deduped
 //!   constants (written once at init), hoisted loop-invariant results, and
@@ -49,10 +50,8 @@
 //! Commutative operands are deliberately *not* canonicalized for CSE so
 //! float results keep identical bit patterns (e.g. NaN payloads).
 //!
-//! Statements whose lowering would overflow the register file (or that a
-//! plan-pass cost policy declines) fall back to the tree walker per
-//! statement ([`BStmt::Tree`]); `NSC_COMPILE=0` (see [`enabled`]) disables
-//! bytecode everywhere.
+//! Lowering is total: every statement lowers. A kernel needing more than
+//! [`u16::MAX`] registers panics at lowering, naming the kernel.
 
 use crate::expr::Expr;
 use crate::interp::{ExecError, MemClient, WHILE_LOOP_CAP};
@@ -63,8 +62,8 @@ use std::collections::HashMap;
 /// A register index into the flat per-kernel register file.
 pub type Reg = u16;
 
-/// Registers stay below this; statements that would push past it fall back
-/// to the tree walker.
+/// Registers stay below this; a kernel that would push past it fails to
+/// lower.
 const REG_LIMIT: u32 = u16::MAX as u32;
 
 /// A three-address bytecode op. Sources and destination are registers.
@@ -135,60 +134,22 @@ pub enum BStmt {
     LoopExpr { var: Reg, span: Span, trip: Reg, body: Vec<BStmt> },
     /// Data-dependent loop: run `span`, test `regs[cond]`, run body.
     LoopWhile { var: Reg, span: Span, cond: Reg, body: Vec<BStmt> },
-    /// Fallback: execute the original statement with the tree walker
-    /// against `regs[..n_locals]`.
-    Tree(Stmt),
 }
 
-/// Lowering statistics, for the plan pass and for reporting.
+/// Lowering statistics, for tests and reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LowerStats {
-    /// Operator nodes in the source expression trees.
-    pub expr_nodes: u32,
     /// Bytecode ops emitted into statement spans.
     pub ops: u32,
     /// Ops hoisted to the once-per-kernel preamble.
     pub pre_ops: u32,
-    /// Ops hoisted to the once-per-outer-iteration prologue.
-    pub iter_ops: u32,
-    /// Operator nodes removed by constant folding.
-    pub folded: u32,
-    /// Operator nodes removed by CSE.
-    pub cse_hits: u32,
     /// Dead `Assign` statements pruned.
     pub pruned_assigns: u32,
     /// `Trip::Expr` counts pre-evaluated into a pinned register.
     pub hoisted_trips: u32,
-    /// Statements left on the tree walker (policy or register pressure).
+    /// Always 0: lowering is total, so no statement is left on the tree
+    /// walker. Kept only because an external probe still reads it.
     pub tree_stmts: u32,
-}
-
-/// Per-statement lowering summary handed to a plan-pass policy.
-#[derive(Clone, Copy, Debug)]
-pub struct LoweredStmt {
-    /// Operator nodes in the statement's expressions (subtree total for
-    /// `If`/`Loop`).
-    pub expr_nodes: u32,
-    /// Bytecode ops the lowering emitted (after folding, CSE, hoisting).
-    pub ops: u32,
-    /// Loop depth below the parallel outer loop (0 = outer body).
-    pub depth: u32,
-}
-
-/// Chooses, per lowered statement, whether to keep the bytecode (`true`) or
-/// fall back to the tree walker (`false`).
-pub type Policy<'a> = &'a mut dyn FnMut(&Stmt, &LoweredStmt) -> bool;
-
-/// Returns `false` iff `NSC_COMPILE` requests the tree walker everywhere
-/// (`0`, `false` or `off`). Read once per process.
-pub fn enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| parse_enabled(std::env::var("NSC_COMPILE").ok().as_deref()))
-}
-
-/// Pure parse of the `NSC_COMPILE` setting (default: enabled).
-pub fn parse_enabled(v: Option<&str>) -> bool {
-    !matches!(v, Some("0") | Some("false") | Some("off"))
 }
 
 /// Executes a run of ops against the register file.
@@ -210,7 +171,7 @@ fn run_ops(ops: &[Op], regs: &mut [Scalar]) {
 
 /// A whole kernel compiled to bytecode.
 ///
-/// Built once per kernel (by the `nsc-compiler` plan pass or by the golden
+/// Built once per kernel (by `nsc_compiler::compile` or by the golden
 /// interpreter); executed once per outer iteration via
 /// [`exec_iteration`](KernelCode::exec_iteration) against a register file
 /// prepared by [`init_regs`](KernelCode::init_regs).
@@ -235,42 +196,21 @@ pub struct KernelCode {
 }
 
 impl KernelCode {
-    /// Lowers a kernel, keeping bytecode for every statement that fits the
-    /// register file.
+    /// Lowers a whole kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the kernel, if it needs more than [`u16::MAX`]
+    /// registers.
     pub fn compile(kernel: &Kernel) -> KernelCode {
-        Self::compile_with(kernel, &mut |_, _| true)
-    }
-
-    /// Lowers a kernel with a plan-pass policy deciding, per statement,
-    /// whether the lowered bytecode is kept or the statement falls back to
-    /// the tree walker. Register-file overflow forces the fallback
-    /// regardless of the policy.
-    pub fn compile_with(kernel: &Kernel, policy: Policy<'_>) -> KernelCode {
         let n_params = max_param(kernel);
-        let outer_var = kernel.outer.var.0;
-        // Degenerate register pressure (pathological local/param counts):
-        // run the whole body on the tree walker.
-        if kernel.n_locals as u32 + n_params + 64 > REG_LIMIT {
-            return KernelCode {
-                body: kernel.outer.body.iter().map(|s| BStmt::Tree(s.clone())).collect(),
-                ops: Vec::new(),
-                pre_ops: Vec::new(),
-                iter_ops: Vec::new(),
-                const_regs: Vec::new(),
-                n_locals: kernel.n_locals,
-                n_params: 0,
-                n_regs: kernel.n_locals,
-                outer_var,
-                reduction: kernel.outer_reduction.as_ref().map(|r| r.var.0),
-                stats: LowerStats {
-                    tree_stmts: kernel.outer.body.len() as u32,
-                    ..LowerStats::default()
-                },
-            };
-        }
+        assert!(
+            kernel.n_locals as u32 + n_params < REG_LIMIT,
+            "kernel {}: locals and params overflow the {REG_LIMIT}-register file",
+            kernel.name
+        );
         let mut lw = Lowerer::for_kernel(kernel, n_params as u16);
-        lw.stats.expr_nodes = kernel.outer.body.iter().map(stmt_uops).sum();
-        let body = lw.lower_stmts(&kernel.outer.body, 0, policy);
+        let body = lw.lower_stmts(&kernel.outer.body);
         KernelCode {
             body,
             ops: lw.ops,
@@ -280,15 +220,10 @@ impl KernelCode {
             n_locals: kernel.n_locals,
             n_params: n_params as u16,
             n_regs: lw.next_reg,
-            outer_var,
+            outer_var: kernel.outer.var.0,
             reduction: kernel.outer_reduction.as_ref().map(|r| r.var.0),
             stats: lw.stats,
         }
-    }
-
-    /// Size of the register file this code executes against.
-    pub fn n_regs(&self) -> u16 {
-        self.n_regs
     }
 
     /// Prepares the register file: zeroes it, pins params and constants,
@@ -315,11 +250,12 @@ impl KernelCode {
     /// [`interp::exec_iteration`](crate::interp::exec_iteration): zeroes
     /// the locals, sets the outer index, runs the per-iteration prologue
     /// and the body, and returns the reduction contribution if the kernel
-    /// declares one.
+    /// declares one. The params were pinned by `init_regs`; the argument
+    /// only keeps the signature parallel to the tree walker's.
     pub fn exec_iteration(
         &self,
         iter: u64,
-        params: &[Scalar],
+        _params: &[Scalar],
         client: &mut impl MemClient,
         regs: &mut [Scalar],
     ) -> Result<Option<Scalar>, ExecError> {
@@ -329,7 +265,7 @@ impl KernelCode {
         }
         regs[self.outer_var as usize] = Scalar::I64(iter as i64);
         run_ops(&self.iter_ops, regs);
-        self.exec_body(&self.body, regs, params, client)?;
+        self.exec_body(&self.body, regs, client)?;
         Ok(self.reduction.map(|r| regs[r as usize]))
     }
 
@@ -337,7 +273,6 @@ impl KernelCode {
         &self,
         stmts: &[BStmt],
         regs: &mut [Scalar],
-        params: &[Scalar],
         client: &mut impl MemClient,
     ) -> Result<(), ExecError> {
         for s in stmts {
@@ -369,22 +304,22 @@ impl KernelCode {
                 BStmt::If { span, cond, then_body, else_body } => {
                     run_ops(&self.ops[span.rng()], regs);
                     if regs[*cond as usize].as_bool() {
-                        self.exec_body(then_body, regs, params, client)?;
+                        self.exec_body(then_body, regs, client)?;
                     } else {
-                        self.exec_body(else_body, regs, params, client)?;
+                        self.exec_body(else_body, regs, client)?;
                     }
                 }
                 BStmt::LoopConst { var, n, body } => {
                     for i in 0..*n {
                         regs[*var as usize] = Scalar::I64(i as i64);
-                        self.exec_body(body, regs, params, client)?;
+                        self.exec_body(body, regs, client)?;
                     }
                 }
                 BStmt::LoopReg { var, trip, body } => {
                     let n = regs[*trip as usize].as_i64().max(0) as u64;
                     for i in 0..n {
                         regs[*var as usize] = Scalar::I64(i as i64);
-                        self.exec_body(body, regs, params, client)?;
+                        self.exec_body(body, regs, client)?;
                     }
                 }
                 BStmt::LoopExpr { var, span, trip, body } => {
@@ -392,7 +327,7 @@ impl KernelCode {
                     let n = regs[*trip as usize].as_i64().max(0) as u64;
                     for i in 0..n {
                         regs[*var as usize] = Scalar::I64(i as i64);
-                        self.exec_body(body, regs, params, client)?;
+                        self.exec_body(body, regs, client)?;
                     }
                 }
                 BStmt::LoopWhile { var, span, cond, body } => {
@@ -403,92 +338,16 @@ impl KernelCode {
                         if !regs[*cond as usize].as_bool() {
                             break;
                         }
-                        self.exec_body(body, regs, params, client)?;
+                        self.exec_body(body, regs, client)?;
                         i += 1;
                         if i >= WHILE_LOOP_CAP {
                             return Err(ExecError::LoopCap { cap: WHILE_LOOP_CAP });
                         }
                     }
                 }
-                BStmt::Tree(stmt) => {
-                    crate::interp::exec_stmts(
-                        std::slice::from_ref(stmt),
-                        &mut regs[..self.n_locals as usize],
-                        params,
-                        client,
-                    )?;
-                }
             }
         }
         Ok(())
-    }
-}
-
-/// A single expression compiled standalone (microbenches, tests).
-///
-/// Usage: [`bind`](ExprCode::bind) once per parameter set, then
-/// [`eval`](ExprCode::eval) per locals vector against the same register
-/// file.
-#[derive(Clone, Debug)]
-pub struct ExprCode {
-    ops: Vec<Op>,
-    pre_ops: Vec<Op>,
-    const_regs: Vec<(Reg, Scalar)>,
-    result: Reg,
-    n_locals: u16,
-    n_params: u16,
-    n_regs: u16,
-}
-
-impl ExprCode {
-    /// Lowers one expression over `n_locals` locals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression needs more than [`u16::MAX`] registers.
-    pub fn compile(e: &Expr, n_locals: u16) -> ExprCode {
-        let mut m = 0u32;
-        max_param_expr(e, &mut m);
-        let mut lw = Lowerer::new(n_locals, m as u16, None);
-        lw.stats.expr_nodes = e.uops();
-        let result = lw.lower_expr(e);
-        assert!(!lw.overflow, "expression overflows the {REG_LIMIT}-register file");
-        debug_assert!(lw.iter_ops.is_empty());
-        ExprCode {
-            ops: lw.ops,
-            pre_ops: lw.pre_ops,
-            const_regs: lw.const_regs,
-            result,
-            n_locals,
-            n_params: m as u16,
-            n_regs: lw.next_reg,
-        }
-    }
-
-    /// Sizes the register file, pins params and constants, and runs the
-    /// hoisted param-only ops.
-    pub fn bind(&self, params: &[Scalar], regs: &mut Vec<Scalar>) {
-        regs.clear();
-        regs.resize(self.n_regs as usize, Scalar::I64(0));
-        for i in 0..self.n_params as usize {
-            regs[self.n_locals as usize + i] = params[i];
-        }
-        for &(r, v) in &self.const_regs {
-            regs[r as usize] = v;
-        }
-        run_ops(&self.pre_ops, regs);
-    }
-
-    /// Evaluates against a register file prepared by [`bind`](ExprCode::bind).
-    pub fn eval(&self, locals: &[Scalar], regs: &mut [Scalar]) -> Scalar {
-        regs[..self.n_locals as usize].copy_from_slice(&locals[..self.n_locals as usize]);
-        run_ops(&self.ops, regs);
-        regs[self.result as usize]
-    }
-
-    /// Bytecode ops in the per-eval path (after folding/CSE/hoisting).
-    pub fn op_count(&self) -> u32 {
-        self.ops.len() as u32
     }
 }
 
@@ -511,7 +370,9 @@ enum CseKey {
     Select(Reg, Reg, Reg),
 }
 
-struct Lowerer {
+struct Lowerer<'k> {
+    /// The kernel being lowered, for the register-overflow panic.
+    kernel: &'k str,
     ops: Vec<Op>,
     pre_ops: Vec<Op>,
     iter_ops: Vec<Op>,
@@ -529,18 +390,26 @@ struct Lowerer {
     live: Vec<bool>,
     n_locals: u16,
     next_reg: u16,
-    overflow: bool,
     stats: LowerStats,
 }
 
-impl Lowerer {
-    fn new(n_locals: u16, n_params: u16, stable_outer: Option<Reg>) -> Lowerer {
+impl<'k> Lowerer<'k> {
+    fn for_kernel(kernel: &'k Kernel, n_params: u16) -> Lowerer<'k> {
+        let n_locals = kernel.n_locals;
         let mut levels = vec![Level::Stmt; n_locals as usize];
-        if let Some(v) = stable_outer {
-            levels[v as usize] = Level::Iter;
+        // The outer index is iteration-invariant unless something in the
+        // body writes it (assign/load/atomic-old dest or an inner loop var).
+        if !writes_var(&kernel.outer.body, kernel.outer.var) {
+            levels[kernel.outer.var.0 as usize] = Level::Iter;
         }
         levels.extend(std::iter::repeat_n(Level::Pre, n_params as usize));
+        let mut live = vec![false; n_locals as usize];
+        collect_live(&kernel.outer.body, &mut live);
+        if let Some(r) = &kernel.outer_reduction {
+            live[r.var.0 as usize] = true;
+        }
         Lowerer {
+            kernel: &kernel.name,
             ops: Vec::new(),
             pre_ops: Vec::new(),
             iter_ops: Vec::new(),
@@ -550,26 +419,11 @@ impl Lowerer {
             levels,
             inv_cse: HashMap::new(),
             cse: HashMap::new(),
-            live: vec![true; n_locals as usize],
+            live,
             n_locals,
             next_reg: n_locals + n_params,
-            overflow: false,
             stats: LowerStats::default(),
         }
-    }
-
-    fn for_kernel(kernel: &Kernel, n_params: u16) -> Lowerer {
-        // The outer index is iteration-invariant unless something in the
-        // body writes it (assign/load/atomic-old dest or an inner loop var).
-        let stable = !writes_var(&kernel.outer.body, kernel.outer.var);
-        let mut lw =
-            Lowerer::new(kernel.n_locals, n_params, stable.then_some(kernel.outer.var.0));
-        lw.live = vec![false; kernel.n_locals as usize];
-        collect_live(&kernel.outer.body, &mut lw.live);
-        if let Some(r) = &kernel.outer_reduction {
-            lw.live[r.var.0 as usize] = true;
-        }
-        lw
     }
 
     fn level(&self, r: Reg) -> Level {
@@ -577,10 +431,11 @@ impl Lowerer {
     }
 
     fn alloc(&mut self, level: Level) -> Reg {
-        if self.next_reg as u32 + 1 >= REG_LIMIT {
-            self.overflow = true;
-            return 0;
-        }
+        assert!(
+            (self.next_reg as u32) + 1 < REG_LIMIT,
+            "kernel {}: expressions overflow the {REG_LIMIT}-register file",
+            self.kernel
+        );
         let r = self.next_reg;
         self.next_reg += 1;
         self.levels.push(level);
@@ -596,11 +451,9 @@ impl Lowerer {
             return r;
         }
         let r = self.alloc(Level::Pre);
-        if !self.overflow {
-            self.const_map.insert(key, r);
-            self.const_regs.push((r, v));
-            self.const_vals.insert(r, v);
-        }
+        self.const_map.insert(key, r);
+        self.const_regs.push((r, v));
+        self.const_vals.insert(r, v);
         r
     }
 
@@ -608,18 +461,10 @@ impl Lowerer {
     /// preamble / iteration prologue, the rest to the current statement
     /// span.
     fn emit(&mut self, key: CseKey, level: Level, build: impl FnOnce(Reg) -> Op) -> Reg {
-        if let Some(&r) = self.inv_cse.get(&key) {
-            self.stats.cse_hits += 1;
-            return r;
-        }
-        if let Some(&r) = self.cse.get(&key) {
-            self.stats.cse_hits += 1;
+        if let Some(&r) = self.inv_cse.get(&key).or_else(|| self.cse.get(&key)) {
             return r;
         }
         let dst = self.alloc(level);
-        if self.overflow {
-            return 0;
-        }
         let op = build(dst);
         match level {
             Level::Pre => {
@@ -629,7 +474,6 @@ impl Lowerer {
             }
             Level::Iter => {
                 self.iter_ops.push(op);
-                self.stats.iter_ops += 1;
                 self.inv_cse.insert(key, dst);
             }
             Level::Stmt => {
@@ -642,11 +486,7 @@ impl Lowerer {
     }
 
     fn lower_expr(&mut self, e: &Expr) -> Reg {
-        if self.overflow {
-            return 0;
-        }
         if let Some(v) = fold_const(e) {
-            self.stats.folded += e.uops();
             return self.const_reg(v);
         }
         match e {
@@ -660,9 +500,6 @@ impl Lowerer {
             Expr::Binary(op, a, b) => {
                 let ra = self.lower_expr(a);
                 let rb = self.lower_expr(b);
-                if self.overflow {
-                    return 0;
-                }
                 let level = self.level(ra).max(self.level(rb));
                 self.emit(CseKey::Bin(*op, ra, rb), level, |dst| Op::Bin {
                     op: *op,
@@ -673,26 +510,18 @@ impl Lowerer {
             }
             Expr::Unary(op, a) => {
                 let ra = self.lower_expr(a);
-                if self.overflow {
-                    return 0;
-                }
                 let level = self.level(ra);
                 self.emit(CseKey::Un(*op, ra, 0), level, |dst| Op::Un { op: *op, dst, a: ra })
             }
             Expr::Select(c, a, b) => {
                 if let Some(cv) = fold_const(c) {
-                    self.stats.folded += 1 + c.uops();
                     return self.lower_expr(if cv.as_bool() { a } else { b });
                 }
                 let rc = self.lower_expr(c);
                 let ra = self.lower_expr(a);
                 let rb = self.lower_expr(b);
-                if self.overflow {
-                    return 0;
-                }
                 if ra == rb {
                     // Both arms are the same register: the select is a no-op.
-                    self.stats.folded += 1;
                     return ra;
                 }
                 let level = self.level(rc).max(self.level(ra)).max(self.level(rb));
@@ -706,7 +535,7 @@ impl Lowerer {
         }
     }
 
-    fn lower_stmts(&mut self, stmts: &[Stmt], depth: u32, policy: Policy<'_>) -> Vec<BStmt> {
+    fn lower_stmts(&mut self, stmts: &[Stmt]) -> Vec<BStmt> {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             if let Stmt::Assign { var, .. } = s {
@@ -715,33 +544,13 @@ impl Lowerer {
                     continue;
                 }
             }
-            let lo = self.ops.len();
-            let ops_before = self.stats.ops;
             self.cse.clear();
-            let lowered = self.lower_stmt(s, depth, policy);
-            let info = LoweredStmt {
-                expr_nodes: stmt_uops(s),
-                ops: (self.ops.len() - lo) as u32,
-                depth,
-            };
-            if !self.overflow && policy(s, &info) {
-                out.push(lowered);
-            } else {
-                // Roll the statement's span back and run it on the tree
-                // walker. (Hoisted ops it contributed stay — they are pure
-                // and self-contained.)
-                self.ops.truncate(lo);
-                self.overflow = false;
-                self.cse.clear();
-                self.stats.ops = ops_before;
-                self.stats.tree_stmts += 1;
-                out.push(BStmt::Tree(s.clone()));
-            }
+            out.push(self.lower_stmt(s));
         }
         out
     }
 
-    fn lower_stmt(&mut self, s: &Stmt, depth: u32, policy: Policy<'_>) -> BStmt {
+    fn lower_stmt(&mut self, s: &Stmt) -> BStmt {
         match s {
             Stmt::Assign { var, expr } => {
                 let lo = self.ops.len() as u32;
@@ -784,19 +593,19 @@ impl Lowerer {
                 let lo = self.ops.len() as u32;
                 let rc = self.lower_expr(cond);
                 let span = Span { lo, hi: self.ops.len() as u32 };
-                let tb = self.lower_stmts(then_body, depth, policy);
-                let eb = self.lower_stmts(else_body, depth, policy);
+                let tb = self.lower_stmts(then_body);
+                let eb = self.lower_stmts(else_body);
                 BStmt::If { span, cond: rc, then_body: tb, else_body: eb }
             }
-            Stmt::Loop(l) => self.lower_loop(l, depth, policy),
+            Stmt::Loop(l) => self.lower_loop(l),
         }
     }
 
-    fn lower_loop(&mut self, l: &Loop, depth: u32, policy: Policy<'_>) -> BStmt {
+    fn lower_loop(&mut self, l: &Loop) -> BStmt {
         let var = l.var.0;
         match &l.trip {
             Trip::Const(n) => {
-                let body = self.lower_stmts(&l.body, depth + 1, policy);
+                let body = self.lower_stmts(&l.body);
                 BStmt::LoopConst { var, n: *n, body }
             }
             Trip::Expr(e) => {
@@ -805,7 +614,7 @@ impl Lowerer {
                 let span = Span { lo, hi: self.ops.len() as u32 };
                 if let Some(c) = self.const_vals.get(&trip).copied() {
                     // Fully folded: a compile-time trip count.
-                    let body = self.lower_stmts(&l.body, depth + 1, policy);
+                    let body = self.lower_stmts(&l.body);
                     return BStmt::LoopConst { var, n: c.as_i64().max(0) as u64, body };
                 }
                 if span.is_empty() {
@@ -814,17 +623,17 @@ impl Lowerer {
                     if self.level(trip) <= Level::Iter {
                         self.stats.hoisted_trips += 1;
                     }
-                    let body = self.lower_stmts(&l.body, depth + 1, policy);
+                    let body = self.lower_stmts(&l.body);
                     return BStmt::LoopReg { var, trip, body };
                 }
-                let body = self.lower_stmts(&l.body, depth + 1, policy);
+                let body = self.lower_stmts(&l.body);
                 BStmt::LoopExpr { var, span, trip, body }
             }
             Trip::While(cond) => {
                 let lo = self.ops.len() as u32;
                 let rc = self.lower_expr(cond);
                 let span = Span { lo, hi: self.ops.len() as u32 };
-                let body = self.lower_stmts(&l.body, depth + 1, policy);
+                let body = self.lower_stmts(&l.body);
                 BStmt::LoopWhile { var, span, cond: rc, body }
             }
         }
@@ -845,29 +654,6 @@ fn fold_const(e: &Expr) -> Option<Scalar> {
             } else {
                 fold_const(b)
             }
-        }
-    }
-}
-
-fn stmt_uops(s: &Stmt) -> u32 {
-    match s {
-        Stmt::Assign { expr, .. } => expr.uops(),
-        Stmt::Load { index, .. } => index.uops(),
-        Stmt::Store { index, value, .. } => index.uops() + value.uops(),
-        Stmt::Atomic { index, operand, expected, .. } => {
-            index.uops() + operand.uops() + expected.as_ref().map_or(0, |e| e.uops())
-        }
-        Stmt::If { cond, then_body, else_body } => {
-            cond.uops()
-                + then_body.iter().map(stmt_uops).sum::<u32>()
-                + else_body.iter().map(stmt_uops).sum::<u32>()
-        }
-        Stmt::Loop(l) => {
-            let trip = match &l.trip {
-                Trip::Const(_) => 0,
-                Trip::Expr(e) | Trip::While(e) => e.uops(),
-            };
-            trip + l.body.iter().map(stmt_uops).sum::<u32>()
         }
     }
 }
@@ -996,54 +782,86 @@ mod tests {
         VarId(i)
     }
 
-    #[test]
-    fn nsc_compile_parse() {
-        assert!(parse_enabled(None));
-        assert!(parse_enabled(Some("1")));
-        assert!(parse_enabled(Some("yes")));
-        assert!(!parse_enabled(Some("0")));
-        assert!(!parse_enabled(Some("false")));
-        assert!(!parse_enabled(Some("off")));
+    /// A one-statement kernel storing `value` to `out[0]`, with the outer
+    /// var 0 and `n_locals` locals.
+    fn store_kernel(value: Expr, n_locals: u16) -> (Program, Kernel) {
+        let mut p = Program::new("expr");
+        let out = p.array("out", ElemType::I64, 1);
+        let kernel = Kernel {
+            name: "expr".into(),
+            outer: Loop {
+                var: v(0),
+                trip: Trip::Const(1),
+                body: vec![Stmt::Store {
+                    id: StmtId(0),
+                    array: out,
+                    index: Expr::imm(0),
+                    field: None,
+                    value,
+                }],
+            },
+            n_locals,
+            n_stmts: 1,
+            sync_free: false,
+            outer_reduction: None,
+            narrow_hints: Vec::new(),
+        };
+        (p, kernel)
+    }
+
+    /// Runs outer iteration `iter` of a one-kernel program through the
+    /// bytecode and returns `out[0]`.
+    fn run_store(p: &Program, code: &KernelCode, iter: u64, params: &[Scalar]) -> Scalar {
+        let mut mem = Memory::for_program(p);
+        let mut regs = Vec::new();
+        code.init_regs(&mut regs, params);
+        let mut client = FunctionalClient { mem: &mut mem };
+        code.exec_iteration(iter, params, &mut client, &mut regs).unwrap();
+        mem.read_index(ArrayId(0), 0)
     }
 
     #[test]
     fn expr_code_matches_tree_eval() {
-        // (v0*3 + p0) * (v0*3 + p0) - repeated subtree exercises CSE.
-        let sub = Expr::var(v(0)) * Expr::imm(3) + Expr::param(0);
+        // (v1*3 + p0) * (v1*3 + p0) - repeated subtree exercises CSE. v1
+        // is bound to the outer index so the ops stay in the statement.
+        let sub = Expr::var(v(1)) * Expr::imm(3) + Expr::param(0);
         let e = sub.clone() * sub;
-        let code = ExprCode::compile(&e, 1);
+        let (p, mut kernel) = store_kernel(e.clone(), 2);
+        kernel.outer.body.insert(0, Stmt::Assign { var: v(1), expr: Expr::var(v(0)) });
+        let code = KernelCode::compile(&kernel);
         let params = [Scalar::I64(7)];
-        let mut regs = Vec::new();
-        code.bind(&params, &mut regs);
-        for x in [-4i64, 0, 1, 100] {
-            let locals = [Scalar::I64(x)];
-            assert_eq!(code.eval(&locals, &mut regs), e.eval(&locals, &params));
+        for x in [0u64, 1, 100] {
+            let locals = [Scalar::I64(x as i64), Scalar::I64(x as i64)];
+            assert_eq!(run_store(&p, &code, x, &params), e.eval(&locals, &params));
         }
         // CSE: the squared subtree lowers its two ops once, plus the
         // multiply; the param-only leaves pin for free.
-        assert_eq!(code.op_count(), 3);
+        assert_eq!(code.stats.ops, 3);
+        assert_eq!(code.stats.pre_ops, 0);
     }
 
     #[test]
     fn const_folding_emits_no_ops() {
-        let e = (Expr::imm(2) + Expr::imm(3)) * Expr::imm(4) + Expr::var(v(0));
-        let code = ExprCode::compile(&e, 1);
+        let e = (Expr::imm(2) + Expr::imm(3)) * Expr::imm(4) + Expr::var(v(1));
+        let (p, mut kernel) = store_kernel(e, 2);
+        kernel.outer.body.insert(0, Stmt::Assign { var: v(1), expr: Expr::var(v(0)) });
+        let code = KernelCode::compile(&kernel);
         // Only the final add survives: (2+3)*4 folds to 20.
-        assert_eq!(code.op_count(), 1);
-        let mut regs = Vec::new();
-        code.bind(&[], &mut regs);
-        assert_eq!(code.eval(&[Scalar::I64(1)], &mut regs), Scalar::I64(21));
+        assert_eq!(code.stats.ops, 1);
+        assert_eq!(code.stats.pre_ops, 0);
+        assert_eq!(run_store(&p, &code, 1, &[]), Scalar::I64(21));
     }
 
     #[test]
     fn param_only_ops_hoist_to_preamble() {
-        // p0*p1 + v0: the multiply runs once at bind, not per eval.
-        let e = Expr::param(0) * Expr::param(1) + Expr::var(v(0));
-        let code = ExprCode::compile(&e, 1);
-        assert_eq!(code.op_count(), 1);
-        let mut regs = Vec::new();
-        code.bind(&[Scalar::I64(6), Scalar::I64(7)], &mut regs);
-        assert_eq!(code.eval(&[Scalar::I64(0)], &mut regs), Scalar::I64(42));
+        // p0*p1 + v1: the multiply runs once at init, not per iteration.
+        let e = Expr::param(0) * Expr::param(1) + Expr::var(v(1));
+        let (p, mut kernel) = store_kernel(e, 2);
+        kernel.outer.body.insert(0, Stmt::Assign { var: v(1), expr: Expr::var(v(0)) });
+        let code = KernelCode::compile(&kernel);
+        assert_eq!(code.stats.ops, 1);
+        assert_eq!(code.stats.pre_ops, 1);
+        assert_eq!(run_store(&p, &code, 0, &[Scalar::I64(6), Scalar::I64(7)]), Scalar::I64(42));
     }
 
     fn hist_kernel() -> (Program, Kernel) {
@@ -1193,32 +1011,6 @@ mod tests {
         let mut client = FunctionalClient { mem: &mut mem };
         let c = code.exec_iteration(0, &[Scalar::I64(5)], &mut client, &mut regs).unwrap();
         assert_eq!(c, Some(Scalar::I64(10)));
-    }
-
-    #[test]
-    fn policy_fallback_runs_tree_per_statement() {
-        let (p, kernel) = hist_kernel();
-        // Decline bytecode for every other statement: mixed execution.
-        let mut flip = false;
-        let code = KernelCode::compile_with(&kernel, &mut |_, _| {
-            flip = !flip;
-            flip
-        });
-        assert!(code.stats.tree_stmts > 0);
-        let mut mem = Memory::for_program(&p);
-        let a = crate::program::ArrayId(0);
-        for (i, key) in [0i64, 1, 1, 2, 3, 3, 3, 0].iter().enumerate() {
-            mem.write_index(a, i as u64, Scalar::I64(*key));
-        }
-        let mut regs = Vec::new();
-        code.init_regs(&mut regs, &[]);
-        for i in 0..8 {
-            let mut c = FunctionalClient { mem: &mut mem };
-            code.exec_iteration(i, &[], &mut c, &mut regs).unwrap();
-        }
-        let b = crate::program::ArrayId(1);
-        let counts: Vec<i64> = (0..4).map(|i| mem.read_index(b, i).as_i64()).collect();
-        assert_eq!(counts, vec![2, 2, 1, 3]);
     }
 
     #[test]

@@ -1,11 +1,17 @@
-//! The control engine: executes kernels against a pluggable memory client.
+//! The control engine's memory-client interface and the reference tree
+//! walker.
 //!
-//! The same interpreter drives both the golden functional run (via
+//! Every run executes a kernel's lowered [`KernelCode`] against a
+//! [`MemClient`]: the golden functional run ([`run_kernel`], via
 //! [`FunctionalClient`]) and the timing simulation in the `near-stream`
 //! crate (whose client charges cache, NoC and stream-engine time for each
-//! access). This guarantees the offloaded systems compute exactly the same
-//! values as the baseline.
+//! access) share that one evaluator. This guarantees the offloaded systems
+//! compute exactly the same values as the baseline.
+//!
+//! [`exec_iteration`] walks the `Expr` trees directly. It is the oracle
+//! the bytecode equivalence tests compare against, not an execution path.
 
+use crate::bytecode::KernelCode;
 use crate::memory::Memory;
 use crate::program::{ArrayId, Field, Kernel, Loop, Program, Stmt, StmtId, Trip};
 use crate::types::{AtomicOp, Scalar};
@@ -101,7 +107,7 @@ fn index_of(e: &crate::expr::Expr, locals: &[Scalar], params: &[Scalar]) -> u64 
     e.eval(locals, params).as_index()
 }
 
-pub(crate) fn exec_stmts(
+fn exec_stmts(
     stmts: &[Stmt],
     locals: &mut [Scalar],
     params: &[Scalar],
@@ -181,8 +187,9 @@ fn exec_loop(
     Ok(())
 }
 
-/// Executes one iteration of a kernel's parallel outer loop, returning the
-/// outer-reduction contribution if the kernel declares one.
+/// Executes one iteration of a kernel's parallel outer loop on the tree
+/// walker, returning the outer-reduction contribution if the kernel
+/// declares one. The reference semantics [`KernelCode`] is tested against.
 ///
 /// `locals` is a scratch buffer reused across calls (resized and zeroed
 /// here).
@@ -217,28 +224,23 @@ pub fn outer_trip(kernel: &Kernel, params: &[Scalar]) -> u64 {
     }
 }
 
-/// Runs a whole kernel sequentially (the golden semantics). Uses the
-/// compiled bytecode path unless `NSC_COMPILE=0` (results are bit-identical
-/// either way).
+/// Runs a whole kernel sequentially on its lowered bytecode (the golden
+/// semantics).
 ///
 /// # Panics
 ///
 /// Panics on [`ExecError`] (a runaway `while` loop), naming the kernel.
 pub fn run_kernel(kernel: &Kernel, params: &[Scalar], mem: &mut Memory) {
     let trip = outer_trip(kernel, params);
-    let code = crate::bytecode::enabled().then(|| crate::bytecode::KernelCode::compile(kernel));
-    let mut locals = Vec::new();
-    if let Some(c) = &code {
-        c.init_regs(&mut locals, params);
-    }
+    let code = KernelCode::compile(kernel);
+    let mut regs = Vec::new();
+    code.init_regs(&mut regs, params);
     let mut acc: Option<Scalar> = None;
     for i in 0..trip {
         let mut client = FunctionalClient { mem };
-        let contrib = match &code {
-            Some(c) => c.exec_iteration(i, params, &mut client, &mut locals),
-            None => exec_iteration(kernel, i, params, &mut client, &mut locals),
-        }
-        .unwrap_or_else(|e| panic!("kernel {}: {e}", kernel.name));
+        let contrib = code
+            .exec_iteration(i, params, &mut client, &mut regs)
+            .unwrap_or_else(|e| panic!("kernel {}: {e}", kernel.name));
         if let (Some(r), Some(c)) = (&kernel.outer_reduction, contrib) {
             acc = Some(match acc {
                 None => c,

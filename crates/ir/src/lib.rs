@@ -5,9 +5,12 @@
 //! as [`Program`]s — structured loop nests over typed arrays with explicit
 //! loads, stores, relaxed atomics and pure compute — and:
 //!
-//! * the [`interp`] module executes them functionally (the golden results
-//!   all simulated systems must match), via a pluggable [`MemClient`] so the
-//!   timing simulator can reuse the same control engine;
+//! * the [`bytecode`] module lowers each kernel once to register bytecode,
+//!   the one form every run executes, against a pluggable [`MemClient`] so
+//!   the timing simulator reuses the same control engine;
+//! * the [`interp`] module runs them functionally (the golden results all
+//!   simulated systems must match) and keeps the tree walker the bytecode
+//!   is tested against;
 //! * the `nsc-compiler` crate pattern-matches address expressions into
 //!   streams (affine / indirect / pointer-chasing / multi-operand) and
 //!   assigns computations to them (paper §III-B);
@@ -54,7 +57,7 @@ pub mod program;
 pub mod stream;
 pub mod types;
 
-pub use bytecode::{ExprCode, KernelCode};
+pub use bytecode::KernelCode;
 pub use expr::Expr;
 pub use interp::{run_program, ExecError, MemClient};
 pub use memory::Memory;

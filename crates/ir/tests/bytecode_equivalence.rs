@@ -3,18 +3,18 @@
 //!
 //! Two properties, each over hundreds of seeded-random cases:
 //!
-//! 1. **Expression equivalence** — a random `Expr` tree evaluated by
-//!    [`ExprCode`] produces the same `Scalar` as `Expr::eval`, compared
-//!    *bit for bit* (`f64::to_bits`), so NaN payloads and signed zeros
-//!    count too.
+//! 1. **Expression equivalence** — a random `Expr` tree lowered into a
+//!    one-statement [`KernelCode`] stores the same `Scalar` as
+//!    `Expr::eval` computes, compared *bit for bit* (`f64::to_bits`), so
+//!    NaN payloads and signed zeros count too.
 //! 2. **Kernel equivalence** — a random kernel (nested ifs, counted and
 //!    data-dependent loops, loads/stores/atomics with masked indices)
 //!    executed by [`KernelCode`] drives the `MemClient` with the *exact
 //!    same call sequence* (kind, statement, array, index, field,
 //!    operands, in order) as the tree walker, leaves memory in the same
 //!    state, and returns the same reduction contributions. This is the
-//!    determinism contract that lets the plan pass swap evaluators
-//!    without perturbing a single simulated counter.
+//!    determinism contract that lets every run execute the bytecode while
+//!    the tree walker stays the reference semantics.
 //!
 //! The RNG is a hand-rolled xorshift (this crate has no dependencies),
 //! so every case is reproducible from its printed seed.
@@ -23,7 +23,8 @@ use nsc_ir::build::KernelBuilder;
 use nsc_ir::interp::{self};
 use nsc_ir::program::{ArrayId, Field, StmtId, VarId};
 use nsc_ir::types::{AtomicOp, BinOp, Scalar, UnOp};
-use nsc_ir::{ElemType, Expr, ExprCode, Kernel, KernelCode, MemClient, Memory, Program, Trip};
+use nsc_ir::program::{Loop, Stmt};
+use nsc_ir::{ElemType, Expr, Kernel, KernelCode, MemClient, Memory, Program, Trip};
 
 /// xorshift64* — tiny, deterministic, dependency-free.
 struct Rng(u64);
@@ -103,19 +104,80 @@ fn bits(v: Scalar) -> (bool, u64) {
     }
 }
 
+/// A client whose loads return fixed scalars (one per `StmtId`) and that
+/// records the one store.
+struct ScalarClient {
+    loads: Vec<Scalar>,
+    stored: Option<Scalar>,
+}
+
+impl MemClient for ScalarClient {
+    fn load(&mut self, stmt: StmtId, _: ArrayId, _: u64, _: Option<Field>) -> Scalar {
+        self.loads[stmt.0 as usize]
+    }
+
+    fn store(&mut self, _: StmtId, _: ArrayId, _: u64, _: Option<Field>, value: Scalar) {
+        self.stored = Some(value);
+    }
+
+    fn atomic(
+        &mut self,
+        _: StmtId,
+        _: ArrayId,
+        _: u64,
+        _: Option<Field>,
+        _: AtomicOp,
+        _: Scalar,
+        _: Option<Scalar>,
+    ) -> Scalar {
+        unreachable!("expression kernels issue no atomics")
+    }
+}
+
+/// A kernel that loads locals `1..=N_LOCALS` (statements `0..N_LOCALS`)
+/// and stores `e` (statement `N_LOCALS`). Local 0 is the outer var, which
+/// the loads must not overwrite.
+fn expr_kernel(e: Expr) -> Kernel {
+    let mut body: Vec<Stmt> = (0..N_LOCALS)
+        .map(|j| Stmt::Load {
+            id: StmtId(j as u32),
+            var: VarId(j as u16 + 1),
+            array: ArrayId(0),
+            index: Expr::imm(0),
+            field: None,
+        })
+        .collect();
+    body.push(Stmt::Store {
+        id: StmtId(N_LOCALS as u32),
+        array: ArrayId(0),
+        index: Expr::imm(0),
+        field: None,
+        value: e,
+    });
+    Kernel {
+        name: "expr".into(),
+        outer: Loop { var: VarId(0), trip: Trip::Const(8), body },
+        n_locals: N_LOCALS as u16 + 1,
+        n_stmts: N_LOCALS as u32 + 1,
+        sync_free: false,
+        outer_reduction: None,
+        narrow_hints: Vec::new(),
+    }
+}
+
 /// Random expression trees: bytecode and tree walker agree bit for bit.
 #[test]
 fn random_exprs_eval_identically() {
     for seed in 0..400u64 {
         let mut rng = Rng::new(seed.wrapping_mul(0x9E3779B97F4A7C15) + 1);
-        let vars: Vec<VarId> = (0..N_LOCALS).map(|i| VarId(i as u16)).collect();
+        let vars: Vec<VarId> = (1..=N_LOCALS).map(|i| VarId(i as u16)).collect();
         let e = gen_expr(&mut rng, &vars, 6);
-        let code = ExprCode::compile(&e, N_LOCALS as u16);
+        let code = KernelCode::compile(&expr_kernel(e.clone()));
         let mut regs = Vec::new();
-        code.bind(&PARAMS, &mut regs);
+        code.init_regs(&mut regs, &PARAMS);
         for case in 0..8u64 {
-            let mut locals = [Scalar::I64(0); N_LOCALS as usize];
-            for (j, l) in locals.iter_mut().enumerate() {
+            let mut loads = [Scalar::I64(0); N_LOCALS as usize];
+            for (j, l) in loads.iter_mut().enumerate() {
                 let x = rng.next();
                 *l = if (case + j as u64).is_multiple_of(2) {
                     Scalar::I64((x as i64) >> 16)
@@ -123,8 +185,13 @@ fn random_exprs_eval_identically() {
                     Scalar::F64(((x >> 11) as f64 / (1u64 << 53) as f64) * 32.0 - 16.0)
                 };
             }
+            let mut locals = vec![Scalar::I64(case as i64)];
+            locals.extend(loads);
             let want = e.eval(&locals, &PARAMS);
-            let got = code.eval(&locals, &mut regs);
+            let mut client = ScalarClient { loads: loads.to_vec(), stored: None };
+            code.exec_iteration(case, &PARAMS, &mut client, &mut regs)
+                .unwrap_or_else(|err| panic!("seed {seed} case {case}: {err}"));
+            let got = client.stored.expect("the kernel stores its expression");
             assert_eq!(
                 bits(want),
                 bits(got),
@@ -348,40 +415,16 @@ fn dump(mem: &Memory) -> Vec<(bool, u64)> {
 }
 
 /// Random kernels: identical client call sequences, memory images and
-/// reduction contributions under full lowering.
+/// reduction contributions.
 #[test]
 fn random_kernels_drive_identical_client_sequences() {
     for seed in 0..120u64 {
         let (p, kernel) = gen_program(seed);
         let (tl, tm, tc) = run_tree(&p, &kernel);
         let code = KernelCode::compile(&kernel);
-        assert_eq!(code.stats.tree_stmts, 0, "seed {seed}: full lowering expected");
         let (bl, bm, bc) = run_bytecode(&p, &kernel, &code);
         assert_eq!(tl, bl, "seed {seed}: MemClient call sequences diverged");
         assert_eq!(tm, bm, "seed {seed}: final memory diverged");
         assert_eq!(tc, bc, "seed {seed}: reduction contributions diverged");
     }
-}
-
-/// Same property under an adversarial plan: every other statement is
-/// rolled back to the tree walker, so the mixed path (bytecode spans
-/// interleaved with `BStmt::Tree`) must still be bit-identical.
-#[test]
-fn mixed_policy_kernels_stay_identical() {
-    let mut total_tree_stmts = 0u32;
-    for seed in 0..60u64 {
-        let (p, kernel) = gen_program(seed);
-        let (tl, tm, tc) = run_tree(&p, &kernel);
-        let mut flip = false;
-        let code = KernelCode::compile_with(&kernel, &mut |_, _| {
-            flip = !flip;
-            flip
-        });
-        total_tree_stmts += code.stats.tree_stmts;
-        let (bl, bm, bc) = run_bytecode(&p, &kernel, &code);
-        assert_eq!(tl, bl, "seed {seed}: mixed-policy call sequences diverged");
-        assert_eq!(tm, bm, "seed {seed}: mixed-policy memory diverged");
-        assert_eq!(tc, bc, "seed {seed}: mixed-policy contributions diverged");
-    }
-    assert!(total_tree_stmts > 0, "the alternating policy never exercised a Tree fallback");
 }
