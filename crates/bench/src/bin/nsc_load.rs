@@ -428,11 +428,7 @@ fn main() {
         .opt("deadline-ms", "N", "per-request deadline after the cold flood (default 0)")
         .opt("retries", "N", "closed-loop replay budget for retryable sheds (default 4)")
         .parse();
-    let socket = args
-        .opt("socket")
-        .map(PathBuf::from)
-        .or_else(|| std::env::var_os("NSCD_SOCKET").map(PathBuf::from))
-        .unwrap_or_else(|| PathBuf::from("/tmp/nscd.sock"));
+    let socket = args.opt("socket").map_or_else(|| args.config.socket.clone(), PathBuf::from);
     let rate = args.opt_u64("rate", 200).max(1);
     let secs = args.opt_u64("secs", 5).max(1);
     let conns = args.opt_u64("conns", 2).max(1);

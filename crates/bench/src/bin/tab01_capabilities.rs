@@ -3,8 +3,9 @@
 //! by running the implemented offload policies over the 14 workloads.
 
 use near_stream::ExecMode;
-use nsc_bench::{finalize, Cli, prepare, system_for, Report};
+use nsc_bench::{finalize, Cli, prepare, system_for, Report, SweepTask};
 use nsc_workloads::all;
+use std::sync::Arc;
 
 fn main() {
     let size = Cli::new("tab01_capabilities", "Table I: capabilities of sub-thread near-data approaches").parse().size;
@@ -18,19 +19,23 @@ fn main() {
     println!("Loop autonomous              No            Yes          Yes");
     // Workload coverage: a workload counts as covered if its
     // primary-pattern streams execute near data under the system.
-    let mut cover = [0u32; 3];
     let modes = [ExecMode::Inst, ExecMode::Single, ExecMode::Ns];
-    let mut n = 0;
-    for w in all(size) {
-        n += 1;
-        let p = prepare(w);
-        for (i, m) in modes.iter().enumerate() {
-            let r = p.run_cached(*m, &cfg);
-            let covered = r.offloaded_elems * 5 >= r.stream_elems.max(1); // >=20% of stream work near data
-            if covered {
-                cover[i] += 1;
-            }
+    let preps: Vec<Arc<_>> = all(size).into_iter().map(|w| Arc::new(prepare(w))).collect();
+    let n = preps.len();
+    let mut tasks: Vec<SweepTask<bool>> = Vec::new();
+    for p in &preps {
+        for m in modes {
+            let p = Arc::clone(p);
+            let cfg = cfg.clone();
+            tasks.push(Box::new(move || {
+                let r = p.run_cached(m, &cfg);
+                r.offloaded_elems * 5 >= r.stream_elems.max(1) // >=20% of stream work near data
+            }));
         }
+    }
+    let mut cover = [0u32; 3];
+    for (t, covered) in rep.sweep(tasks).into_iter().enumerate() {
+        cover[t % modes.len()] += covered as u32;
     }
     for (i, m) in modes.iter().enumerate() {
         rep.stat(&format!("covered.{}", m.label()), cover[i] as f64);

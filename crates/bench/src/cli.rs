@@ -15,7 +15,7 @@
 //! let size = args.size;
 //! ```
 
-use nsc_sim::cache;
+use nsc_sim::config::{self, Config};
 use nsc_workloads::Size;
 use std::collections::HashMap;
 
@@ -55,6 +55,8 @@ pub struct Cli {
 pub struct Args {
     /// The workload scale (`--tiny` / `--small` / `--full`; default small).
     pub size: Size,
+    /// The environment, then `--jobs`/`--no-cache`; [`Cli::parse`] installs it.
+    pub config: Config,
     flags: HashMap<&'static str, bool>,
     opts: HashMap<&'static str, String>,
     positional: Option<String>,
@@ -122,7 +124,7 @@ impl Cli {
         u.push_str("  --tiny           smallest inputs (seconds; CI scale)\n");
         u.push_str("  --small          1/16-scale inputs (default)\n");
         u.push_str("  --full, --paper  the paper's Table VI parameters\n");
-        u.push_str("  --jobs N         worker threads for sweeps (sets NSC_JOBS)\n");
+        u.push_str("  --jobs N         worker threads for sweeps (overrides NSC_JOBS)\n");
         u.push_str("  --no-cache       ignore the result cache even if NSC_CACHE=1\n");
         for f in &self.flags {
             u.push_str(&format!("  --{:<15}{}\n", f.name, f.help));
@@ -138,14 +140,14 @@ impl Cli {
     }
 
     /// Parses `std::env::args`, exiting with the usage text on `--help`
-    /// (status 0) or any unknown/malformed argument (status 2).
-    ///
-    /// `--jobs N` is exported as `NSC_JOBS` so the [`crate::Sweep`] pool
-    /// (and anything else reading the environment) sees it; `--no-cache`
-    /// disarms [`nsc_sim::cache`] for the process.
+    /// (status 0) or any unknown/malformed argument (status 2), and
+    /// installs [`Args::config`] (see [`config::install`]).
     pub fn parse(&self) -> Args {
         match self.try_parse(std::env::args().skip(1)) {
-            Ok(Some(args)) => args,
+            Ok(Some(args)) => {
+                config::install(args.config.clone());
+                args
+            }
             Ok(None) => {
                 println!("{}", self.usage());
                 std::process::exit(0);
@@ -158,10 +160,11 @@ impl Cli {
     }
 
     /// Testable core of [`Cli::parse`]: `Ok(None)` means help was
-    /// requested.
+    /// requested. Installs nothing.
     pub fn try_parse(&self, argv: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
         let mut args = Args {
             size: Size::Small,
+            config: Config::default().with_env(),
             flags: HashMap::new(),
             opts: HashMap::new(),
             positional: None,
@@ -173,17 +176,14 @@ impl Cli {
                 "--tiny" => args.size = Size::Tiny,
                 "--small" => args.size = Size::Small,
                 "--full" | "--paper" => args.size = Size::Paper,
-                "--no-cache" => cache::set_disabled(true),
+                "--no-cache" => args.config.cache = false,
                 "--jobs" => {
                     let v = argv.next().ok_or("--jobs requires a value")?;
-                    v.parse::<usize>().map_err(|_| format!("invalid --jobs value: {v}"))?;
-                    std::env::set_var("NSC_JOBS", v);
+                    args.config.jobs = parse_jobs(&v)?;
                 }
                 other => {
                     if let Some(jobs) = other.strip_prefix("--jobs=") {
-                        jobs.parse::<usize>()
-                            .map_err(|_| format!("invalid --jobs value: {jobs}"))?;
-                        std::env::set_var("NSC_JOBS", jobs);
+                        args.config.jobs = parse_jobs(jobs)?;
                         continue;
                     }
                     if let Some(rest) = other.strip_prefix("--") {
@@ -220,6 +220,10 @@ impl Cli {
         }
         Ok(Some(args))
     }
+}
+
+fn parse_jobs(v: &str) -> Result<usize, String> {
+    v.parse().ok().filter(|&n| n > 0).ok_or_else(|| format!("invalid --jobs value: {v}"))
 }
 
 #[cfg(test)]
@@ -275,6 +279,18 @@ mod tests {
         assert_eq!(a.opt_u64("missing", 9), 9);
         assert!(parse(&cli, &["--nocontention=1"]).is_err());
         assert!(parse(&cli, &["a", "b"]).is_err());
+    }
+
+    #[test]
+    fn jobs_and_no_cache_set_the_config_not_the_environment() {
+        let before = Config::default().with_env();
+        let cli = Cli::new("t", "test");
+        let a = parse(&cli, &["--jobs", "3", "--no-cache"]).unwrap().unwrap();
+        assert_eq!(a.config.jobs, 3);
+        assert!(!a.config.cache);
+        assert_eq!(parse(&cli, &["--jobs=5"]).unwrap().unwrap().config.jobs, 5);
+        assert!(parse(&cli, &["--jobs", "0"]).is_err());
+        assert_eq!(Config::default().with_env(), before, "flags must not write the environment");
     }
 
     #[test]

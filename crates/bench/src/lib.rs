@@ -15,7 +15,8 @@ use nsc_sim::cache::{self, CacheStore};
 use nsc_sim::fault::{self, FaultPlan};
 use nsc_sim::json::{escape, fmt_f64};
 use nsc_sim::metrics::{self, Registry};
-use nsc_sim::pool::{self, run_ordered, ThreadPool};
+use nsc_sim::config::{self, Trace};
+use nsc_sim::pool::{run_ordered, ThreadPool};
 use nsc_sim::trace::{self, chrome, RingRecorder};
 use nsc_sim::{Histogram, SimError, StatsTable};
 use nsc_workloads::{Size, Workload};
@@ -178,15 +179,14 @@ fn fmt_opt(v: Option<f64>) -> String {
 /// which writes `results/<name>.json` (schema `nsc-bench-v1`, documented
 /// in DESIGN.md §Observability) next to the harness's `.txt` output.
 ///
-/// The report doubles as the tracing entry point: when the environment
-/// variable `NSC_TRACE` is set, [`Report::new`] installs a trace recorder
-/// and `finish` exports the captured events as Chrome trace-event JSON
-/// (openable in Perfetto). `NSC_TRACE=1` writes
-/// `results/<name>.trace.json`; any other value is used as the output
-/// path. `NSC_TRACE_CAP` bounds the number of retained events (default
-/// one million) and `NSC_TRACE_SAMPLE` sets the minimum cycle spacing of
-/// occupancy counter samples (default 64). `NSC_RESULTS_DIR` relocates
-/// the `results/` directory.
+/// The report doubles as the tracing entry point: when `NSC_TRACE` is
+/// set, [`Report::new`] installs a trace recorder and `finish` exports
+/// the captured events as Chrome trace-event JSON (openable in
+/// Perfetto). `NSC_TRACE=1` writes `results/<name>.trace.json`; any
+/// other value is used as the output path. The recorder keeps the first
+/// [`TRACE_CAP`] events and samples occupancy counters every
+/// [`TRACE_SAMPLE`] cycles. `NSC_RESULTS_DIR` relocates the `results/`
+/// directory. Every knob comes from [`nsc_sim::config`].
 ///
 /// The report is also the chaos-testing entry point: setting
 /// `NSC_FAULT_RATE` (a probability > 0, e.g. `0.001`) makes `Report::new`
@@ -202,8 +202,6 @@ pub struct Report {
     stats: StatsTable,
     histograms: Vec<(String, HistSummary)>,
     trace_path: Option<PathBuf>,
-    trace_knobs: Option<(usize, u64)>,
-    fault_armed: bool,
     started: Instant,
     sim_runs: u64,
     sweeper: Option<Sweep>,
@@ -238,9 +236,9 @@ pub struct Sweep {
 
 impl Sweep {
     /// Builds a sweep with `jobs` workers and explicit instrumentation
-    /// (bypassing the environment): `fault_base` arms a per-run derived
-    /// injector, `trace_knobs` is `(capacity, sample_every)` for
-    /// per-run recorders.
+    /// (bypassing the process configuration): `fault_base` arms a
+    /// per-run derived injector, `trace_knobs` is
+    /// `(capacity, sample_every)` for per-run recorders.
     pub fn with_jobs(
         jobs: usize,
         fault_base: Option<FaultPlan>,
@@ -322,50 +320,30 @@ impl Sweep {
     }
 }
 
-fn results_dir() -> PathBuf {
-    std::env::var_os("NSC_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
+/// Events a traced harness run keeps (overflow is counted, never
+/// reallocated).
+pub const TRACE_CAP: usize = 1 << 20;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Minimum cycle spacing of a traced harness run's occupancy samples.
+pub const TRACE_SAMPLE: u64 = 64;
 
 impl Report {
     /// Starts a report for harness `name` at scale `size`, installing a
     /// tracer when `NSC_TRACE` requests one.
     pub fn new(name: &str, size: Size) -> Report {
-        let mut trace_knobs = None;
-        let trace_path = match std::env::var("NSC_TRACE") {
-            Ok(v) if !v.is_empty() && v != "0" => {
-                let path = if v == "1" {
-                    results_dir().join(format!("{name}.trace.json"))
-                } else {
-                    PathBuf::from(v)
-                };
-                let cap = env_u64("NSC_TRACE_CAP", 1 << 20) as usize;
-                let sample_every = env_u64("NSC_TRACE_SAMPLE", 64);
-                trace::install(RingRecorder::new(cap), sample_every);
-                trace_knobs = Some((cap, sample_every));
-                Some(path)
-            }
-            _ => None,
+        let cfg = config::get();
+        let trace_path = match &cfg.trace {
+            Trace::Off => None,
+            Trace::On => Some(cfg.results_dir.join(format!("{name}.trace.json"))),
+            Trace::File(path) => Some(path.clone()),
         };
-        let fault_armed = match FaultPlan::from_env() {
-            Some(plan) => {
-                eprintln!(
-                    "chaos: fault injection armed (seed {:#x}, rate {})",
-                    plan.seed, plan.noc_drop
-                );
-                fault::install(plan);
-                true
-            }
-            None => false,
-        };
+        if trace_path.is_some() {
+            trace::install(RingRecorder::new(TRACE_CAP), TRACE_SAMPLE);
+        }
+        if let Some(plan) = cfg.fault_plan() {
+            eprintln!("chaos: fault injection armed (seed {:#x}, rate {})", plan.seed, plan.noc_drop);
+            fault::install(plan);
+        }
         // Every harness run carries a live metrics registry: the counters
         // feed the report's `host.profile` block, and the cost when
         // nothing reads them is one relaxed atomic load per event.
@@ -377,8 +355,6 @@ impl Report {
             stats: StatsTable::new(),
             histograms: Vec::new(),
             trace_path,
-            trace_knobs,
-            fault_armed,
             started: Instant::now(),
             sim_runs: 0,
             sweeper: None,
@@ -391,25 +367,17 @@ impl Report {
     /// into the `host.sim_runs` stat.
     ///
     /// The worker pool and the per-run instrumentation base (the
-    /// environment's fault plan and trace knobs, as armed by
+    /// configured fault plan and trace knobs, as armed by
     /// [`Report::new`]) are created on first use and reused across
     /// calls.
     pub fn sweep<T: Send + 'static>(&mut self, tasks: Vec<SweepTask<T>>) -> Vec<T> {
         self.sim_runs = self.sim_runs.saturating_add(tasks.len() as u64);
         if self.sweeper.is_none() {
-            self.sweeper = Some(Sweep::with_jobs(
-                pool::jobs_from_env(),
-                if self.fault_armed { FaultPlan::from_env() } else { None },
-                self.trace_knobs,
-            ));
+            let cfg = config::get();
+            let trace_knobs = self.trace_path.is_some().then_some((TRACE_CAP, TRACE_SAMPLE));
+            self.sweeper = Some(Sweep::with_jobs(cfg.jobs, cfg.fault_plan(), trace_knobs));
         }
         self.sweeper.as_ref().expect("sweeper built above").run(tasks)
-    }
-
-    /// Counts simulations executed outside [`Report::sweep`] into the
-    /// `host.sim_runs` stat.
-    pub fn note_sim_runs(&mut self, n: u64) {
-        self.sim_runs = self.sim_runs.saturating_add(n);
     }
 
     /// Attaches a free-form metadata string (e.g. a config description).
@@ -437,7 +405,8 @@ impl Report {
         self.histograms.push((key.to_owned(), HistSummary::of(h)));
     }
 
-    fn render(&self) -> String {
+    /// The `nsc-bench-v1` document [`Report::finish`] writes.
+    pub fn render(&self) -> String {
         let mut out = String::from("{\"schema\":\"nsc-bench-v1\"");
         out.push_str(&format!(",\"name\":\"{}\"", escape(&self.name)));
         out.push_str(&format!(",\"size\":\"{}\"", size_label(self.size)));
@@ -496,13 +465,10 @@ impl Report {
     /// Writes `results/<name>.json` (and the trace file, when tracing) and
     /// returns the stats path.
     pub fn finish(mut self) -> Result<PathBuf, SimError> {
-        if self.fault_armed {
-            if let Some(stats) = fault::uninstall() {
-                self.stats.set("fault.injected", stats.total() as f64);
-                for site in nsc_sim::fault::FaultSite::ALL {
-                    self.stats
-                        .set(&format!("fault.{}", site.label()), stats.count(site) as f64);
-                }
+        if let Some(stats) = fault::uninstall() {
+            self.stats.set("fault.injected", stats.total() as f64);
+            for site in nsc_sim::fault::FaultSite::ALL {
+                self.stats.set(&format!("fault.{}", site.label()), stats.count(site) as f64);
             }
         }
         if let Some(path) = self.trace_path.take() {
@@ -514,8 +480,8 @@ impl Report {
                 eprintln!("trace: {}", path.display());
             }
         }
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir)
+        let dir = &config::get().results_dir;
+        std::fs::create_dir_all(dir)
             .map_err(|e| SimError::io(dir.display().to_string(), &e))?;
         let path = dir.join(format!("{}.json", self.name));
         std::fs::write(&path, self.render())
@@ -706,7 +672,7 @@ mod tests {
         let mut rep = Report::new("unit_host", Size::Tiny);
         let vals = rep.sweep((0..3u64).map(|i| Box::new(move || i) as SweepTask<u64>).collect());
         assert_eq!(vals, vec![0, 1, 2]);
-        rep.note_sim_runs(2);
+        rep.sweep(vec![Box::new(|| 3u64) as SweepTask<u64>, Box::new(|| 4u64)]);
         let doc = parse(&rep.render()).expect("report is valid JSON");
         let host = doc.get("host").and_then(Json::as_obj).unwrap();
         assert!(host.get("jobs").and_then(Json::as_f64).unwrap() >= 1.0);

@@ -17,7 +17,7 @@
 //! spans + that run's simulator events) with `--perfetto`.
 
 use near_stream::ExecMode;
-use nsc_serve::client::{default_socket, roundtrip, roundtrip_retry, RetryPolicy};
+use nsc_serve::client::{roundtrip, roundtrip_retry, RetryPolicy};
 use nsc_serve::{decode_response_blob, execute, inspect_body, InspectBody, Request, Response};
 use nsc_sim::json::{parse, Json};
 use nsc_workloads::Size;
@@ -44,7 +44,7 @@ Options:
   --latency        print each submit's per-span latency breakdown
   --deadline-ms N  per-request deadline; expired runs come back as typed sheds
   --retries N      retry budget for overloaded/shutting_down sheds
-                   (default $NSC_RETRIES or 3; 0 disables)
+                   (default 3; 0 disables)
   --retry-base-ms N  first backoff step, doubling per attempt (default 100)
   --retry-seed N   jitter seed — fixed seed, deterministic schedule
   --timeout-ms N   per-read socket timeout, 0 blocks forever (default 30000)
@@ -72,13 +72,13 @@ struct Opts {
 
 fn parse_opts(mut argv: impl Iterator<Item = String>) -> Opts {
     let mut o = Opts {
-        socket: default_socket(),
+        socket: nsc_sim::config::get().socket.clone(),
         size: Size::Small,
         mode: ExecMode::Ns,
         local: false,
         latency: false,
         deadline_ms: 0,
-        retry: RetryPolicy::from_env(),
+        retry: RetryPolicy::default(),
         prom: false,
         perfetto: None,
         key: None,

@@ -23,6 +23,8 @@
 //! mode), and `NSC_DEADLINE_MS` sets a default per-run deadline
 //! enforced at dequeue.
 
+use nsc_sim::config::{self, Config};
+use nsc_sim::log::Level;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -35,7 +37,9 @@ Options:
   --jobs N       worker threads (default $NSC_JOBS or all cores)
   -h, --help     print this help
 
-Environment:
+Environment (README lists every NSC_* knob):
+  NSC_CACHE        0 makes every request simulate (default on)
+  NSC_LOG          flight-recorder level (default info)
   NSC_MAX_CONNS    live-connection limit; excess connections get one
                    typed `overloaded` line and are closed (default 64)
   NSC_QUEUE_CAP    admitted-run limit; at saturation cache hits are
@@ -50,8 +54,10 @@ Stop it with `nsc-client shutdown` (graceful: new submits are rejected
 with typed `shutting_down` sheds while admitted runs drain).";
 
 fn main() {
-    let mut socket: Option<PathBuf> = None;
-    let mut jobs: Option<usize> = None;
+    // Defaults, then the environment, then flags. Unlike a library the
+    // daemon arms the result cache (serving repeats from disk is its
+    // reason to exist) and logs at info (without logs it is a black box).
+    let mut cfg = Config { cache: true, log: Some(Level::Info), ..Config::default() }.with_env();
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
@@ -59,28 +65,21 @@ fn main() {
                 println!("{USAGE}");
                 return;
             }
-            "--socket" => socket = Some(PathBuf::from(req_val(&mut argv, "--socket"))),
+            "--socket" => cfg.socket = PathBuf::from(req_val(&mut argv, "--socket")),
             "--jobs" => match req_val(&mut argv, "--jobs").parse() {
-                Ok(n) if n > 0 => jobs = Some(n),
+                Ok(n) if n > 0 => cfg.jobs = n,
                 _ => die("--jobs wants a positive integer"),
             },
             other => die(&format!("unknown argument: {other}")),
         }
     }
-    // The daemon arms the result cache unless the environment already
-    // decided (NSC_CACHE=0 keeps it off).
-    if std::env::var_os("NSC_CACHE").is_none() {
-        std::env::set_var("NSC_CACHE", "1");
-    }
-    // A daemon without logs is a black box: default the flight recorder
-    // to info when NSC_LOG is unset (libraries default to off).
-    nsc_sim::log::init(Some(nsc_sim::log::Level::Info));
-    let socket = socket.unwrap_or_else(nsc_serve::client::default_socket);
-    let jobs = jobs.unwrap_or_else(nsc_sim::pool::jobs_from_env);
-    let cfg = nsc_serve::server::ServeConfig::from_env(jobs);
+    let socket = cfg.socket.clone();
+    config::install(cfg);
+    let cfg = nsc_serve::server::ServeConfig::from(config::get());
+    let jobs = cfg.jobs;
     let cache = if nsc_sim::cache::enabled() {
-        // Latches the tier config from the environment now, so the
-        // banner reflects exactly what the serving path will use.
+        // Builds the store now, so the banner reflects exactly what the
+        // serving path will use.
         let store = nsc_sim::cache::shared();
         let budget = |b: u64, zero: &str| {
             if b == 0 { zero.to_owned() } else { format!("{b}B") }

@@ -16,15 +16,8 @@ use nsc_sim::rng::Rng;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
-
-/// The daemon socket path: `$NSCD_SOCKET` if set, else `/tmp/nscd.sock`.
-pub fn default_socket() -> PathBuf {
-    std::env::var_os("NSCD_SOCKET")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("/tmp/nscd.sock"))
-}
 
 /// Sends `reqs` over one connection and collects every response line.
 ///
@@ -70,21 +63,19 @@ pub fn roundtrip_timeout(socket: &Path, reqs: &[Request], read_timeout_ms: u64) 
 /// long — is a deterministic function of this struct, seed included.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Retry attempts after the first try (`NSC_RETRIES`, default 3).
+    /// Retry attempts after the first try (default 3).
     pub max_retries: u32,
-    /// First backoff step in ms; doubles per attempt
-    /// (`NSC_RETRY_BASE_MS`, default 100).
+    /// First backoff step in ms; doubles per attempt (default 100).
     pub base_ms: u64,
     /// Backoff ceiling in ms (default 5000).
     pub cap_ms: u64,
     /// Jitter added on top of each step, as a percentage of the step
     /// (default 20).
     pub jitter_pct: u64,
-    /// Seed for the jitter stream (`NSC_RETRY_SEED`, default 1) —
-    /// fixed seed, deterministic schedule.
+    /// Seed for the jitter stream (default 1) — fixed seed,
+    /// deterministic schedule.
     pub seed: u64,
-    /// Per-read timeout in ms, 0 = block forever
-    /// (`NSC_READ_TIMEOUT_MS`, default 30000).
+    /// Per-read timeout in ms, 0 = block forever (default 30000).
     pub read_timeout_ms: u64,
 }
 
@@ -102,23 +93,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Reads the retry knobs from the environment, falling back to the
-    /// defaults above.
-    pub fn from_env() -> RetryPolicy {
-        let num = |key: &str, default: u64| {
-            std::env::var(key).ok().and_then(|v| v.trim().parse::<u64>().ok()).unwrap_or(default)
-        };
-        let d = RetryPolicy::default();
-        RetryPolicy {
-            max_retries: num("NSC_RETRIES", d.max_retries as u64) as u32,
-            base_ms: num("NSC_RETRY_BASE_MS", d.base_ms),
-            cap_ms: num("NSC_RETRY_CAP_MS", d.cap_ms),
-            jitter_pct: d.jitter_pct,
-            seed: num("NSC_RETRY_SEED", d.seed),
-            read_timeout_ms: num("NSC_READ_TIMEOUT_MS", d.read_timeout_ms),
-        }
-    }
-
     /// The sleep before retry number `attempt` (0-based): exponential
     /// `base_ms << attempt` capped at `cap_ms`, floored by the daemon's
     /// `retry_after_ms` hint, plus seeded jitter. Pure given `rng`'s

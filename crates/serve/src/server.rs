@@ -95,6 +95,7 @@ use crate::{
 };
 use near_stream::ExecMode;
 use nsc_sim::cache::{self, CacheStore};
+use nsc_sim::config::{self, Config, Trace};
 use nsc_sim::fault::{self, FaultPlan};
 use nsc_sim::log;
 use nsc_sim::metrics::{self, Gauge, Hist, Metric, Registry};
@@ -122,9 +123,14 @@ const TRACE_STORE_CAP: usize = 128;
 /// resubmission (oldest evicted first).
 const COMPLETED_STORE_CAP: usize = 128;
 
+/// Simulator events captured per traced request when `NSC_TRACE` is on.
+const SIM_TRACE_CAP: usize = 4096;
+
+/// Minimum cycle spacing of a traced request's occupancy samples.
+const SIM_TRACE_SAMPLE: u64 = 64;
+
 /// Overload-protection knobs for [`serve_with`]. [`serve`] builds one
-/// from the environment; tests construct their own so parallel tests in
-/// one process never race on env vars.
+/// from [`nsc_sim::config`]; tests construct their own.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Worker threads on the shared simulation pool.
@@ -142,17 +148,13 @@ pub struct ServeConfig {
     pub deadline_ms: u64,
 }
 
-impl ServeConfig {
-    /// Reads the overload knobs from the environment.
-    pub fn from_env(jobs: usize) -> ServeConfig {
-        let num = |key: &str, default: u64| {
-            std::env::var(key).ok().and_then(|v| v.trim().parse::<u64>().ok()).unwrap_or(default)
-        };
+impl From<&Config> for ServeConfig {
+    fn from(c: &Config) -> ServeConfig {
         ServeConfig {
-            jobs,
-            max_conns: (num("NSC_MAX_CONNS", 64) as usize).max(1),
-            queue_cap: (num("NSC_QUEUE_CAP", 128) as usize).max(1),
-            deadline_ms: num("NSC_DEADLINE_MS", 0),
+            jobs: c.jobs,
+            max_conns: c.max_conns,
+            queue_cap: c.queue_cap,
+            deadline_ms: c.deadline_ms,
         }
     }
 }
@@ -163,54 +165,32 @@ struct StoredTrace {
     events: Vec<TraceEvent>,
 }
 
-/// Bounded map of recent request traces, keyed by `request_id`.
-struct TraceStore {
+/// Insertion-ordered map keyed by `request_id` that keeps only the
+/// `cap` most recently inserted entries (oldest evicted first).
+struct Bounded<V> {
+    cap: usize,
     order: VecDeque<u64>,
-    map: HashMap<u64, StoredTrace>,
+    map: HashMap<u64, V>,
 }
 
-impl TraceStore {
-    fn new() -> TraceStore {
-        TraceStore { order: VecDeque::new(), map: HashMap::new() }
+impl<V> Bounded<V> {
+    fn new(cap: usize) -> Bounded<V> {
+        Bounded { cap, order: VecDeque::new(), map: HashMap::new() }
     }
 
-    fn insert(&mut self, t: StoredTrace) {
-        let rid = t.tree.request_id;
-        if self.map.insert(rid, t).is_none() {
+    /// Inserts or replaces; replacing keeps the entry's original age.
+    fn insert(&mut self, rid: u64, v: V) {
+        if self.map.insert(rid, v).is_none() {
             self.order.push_back(rid);
         }
-        while self.order.len() > TRACE_STORE_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-            }
-        }
-    }
-}
-
-/// Bounded map of completed run responses, keyed by `request_id`, for
-/// idempotent resubmission after a lost response.
-struct CompletedStore {
-    order: VecDeque<u64>,
-    map: HashMap<u64, Obj>,
-}
-
-impl CompletedStore {
-    fn new() -> CompletedStore {
-        CompletedStore { order: VecDeque::new(), map: HashMap::new() }
-    }
-
-    fn insert(&mut self, rid: u64, resp: Obj) {
-        if self.map.insert(rid, resp).is_none() {
-            self.order.push_back(rid);
-        }
-        while self.order.len() > COMPLETED_STORE_CAP {
+        while self.order.len() > self.cap {
             if let Some(old) = self.order.pop_front() {
                 self.map.remove(&old);
             }
         }
     }
 
-    fn get(&self, rid: u64) -> Option<&Obj> {
+    fn get(&self, rid: u64) -> Option<&V> {
         self.map.get(&rid)
     }
 }
@@ -230,11 +210,13 @@ struct State {
     started: Instant,
     shutdown: AtomicBool,
     socket: PathBuf,
-    traces: Mutex<TraceStore>,
-    completed: Mutex<CompletedStore>,
-    /// `(capacity, sample_every)` when `NSC_TRACE` arms per-run
-    /// simulator event capture; `None` leaves the sim trace layer cold.
-    sim_trace: Option<(usize, u64)>,
+    /// Recent request traces (the `trace` op).
+    traces: Mutex<Bounded<StoredTrace>>,
+    /// Completed run responses (idempotent resubmission).
+    completed: Mutex<Bounded<Obj>>,
+    /// Whether `NSC_TRACE` arms per-run simulator event capture; off
+    /// leaves the sim trace layer cold.
+    sim_trace: bool,
     /// Base chaos plan (`NSC_FAULT_RATE`); each run derives its own
     /// plan from the request content so replays are bit-identical.
     fault: Option<FaultPlan>,
@@ -255,10 +237,10 @@ impl State {
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             socket,
-            traces: Mutex::new(TraceStore::new()),
-            completed: Mutex::new(CompletedStore::new()),
-            sim_trace: sim_trace_from_env(),
-            fault: FaultPlan::from_env(),
+            traces: Mutex::new(Bounded::new(TRACE_STORE_CAP)),
+            completed: Mutex::new(Bounded::new(COMPLETED_STORE_CAP)),
+            sim_trace: config::get().trace != Trace::Off,
+            fault: config::get().fault_plan(),
             rid_seed,
             rid_counter: AtomicU64::new(0),
         }
@@ -318,26 +300,10 @@ fn request_digest(workload: &str, size: Size, mode: ExecMode) -> u64 {
     h
 }
 
-fn sim_trace_from_env() -> Option<(usize, u64)> {
-    let armed = std::env::var("NSC_TRACE").map(|v| v != "0" && !v.is_empty()).unwrap_or(false);
-    if !armed {
-        return None;
-    }
-    let cap = std::env::var("NSC_TRACE_CAP")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(4096);
-    let every = std::env::var("NSC_TRACE_SAMPLE")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(64);
-    Some((cap.max(1), every.max(1)))
-}
-
 /// Binds `socket` and serves until a client sends `shutdown`, with
-/// overload knobs read from the environment (see [`ServeConfig`]).
+/// `jobs` workers and the overload knobs of [`nsc_sim::config`].
 pub fn serve(socket: &Path, jobs: usize) -> io::Result<()> {
-    serve_with(socket, ServeConfig::from_env(jobs))
+    serve_with(socket, ServeConfig { jobs, ..ServeConfig::from(config::get()) })
 }
 
 /// Binds `socket` and serves until a client sends `shutdown`.
@@ -360,7 +326,7 @@ pub fn serve_with(socket: &Path, cfg: ServeConfig) -> io::Result<()> {
             socket.display(),
             cfg.jobs,
             cache::enabled(),
-            state.sim_trace.is_some(),
+            state.sim_trace,
             cfg.max_conns,
             cfg.queue_cap,
             cfg.deadline_ms,
@@ -565,7 +531,7 @@ fn run_job(
                 stc.traces
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(StoredTrace { tree, events: Vec::new() });
+                    .insert(tree.request_id, StoredTrace { tree, events: Vec::new() });
             }
             resp.str("latency", &latency).render()
         }) as Slot;
@@ -580,8 +546,8 @@ fn run_job(
     // per-connection reorder buffer, so merges land in submission
     // order.
     metrics::install(Registry::new());
-    if let Some((cap, every)) = stc.sim_trace {
-        trace::install(RingRecorder::new(cap), every);
+    if stc.sim_trace {
+        trace::install(RingRecorder::new(SIM_TRACE_CAP), SIM_TRACE_SAMPLE);
     }
     // Chaos: the per-run plan is a pure function of the request
     // content, so replays (and the result-cache key it folds into) are
@@ -617,7 +583,7 @@ fn run_job(
             error_obj(id, &e).num("request_id", rid)
         }
     };
-    let events = if stc.sim_trace.is_some() {
+    let events = if stc.sim_trace {
         trace::uninstall().map(|r| r.into_events().0).unwrap_or_default()
     } else {
         Vec::new()
@@ -665,7 +631,7 @@ fn run_job(
             stc.traces
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .insert(StoredTrace { tree, events });
+                .insert(tree.request_id, StoredTrace { tree, events });
         }
         full.render()
     }) as Slot;
@@ -944,7 +910,7 @@ fn handle_conn(st: &Arc<State>, mut stream: UnixStream) {
                 // is evaluated, so submit-then-trace always works.
                 let slot = Box::new(move || {
                     let store = stc.traces.lock().unwrap_or_else(|e| e.into_inner());
-                    match store.map.get(&request_id) {
+                    match store.get(request_id) {
                         Some(t) => Response::Trace {
                             id,
                             request_id,
@@ -1078,23 +1044,23 @@ mod tests {
 
     #[test]
     fn trace_store_evicts_oldest() {
-        let mut s = TraceStore::new();
+        let mut s = Bounded::new(TRACE_STORE_CAP);
         for rid in 1..=(TRACE_STORE_CAP as u64 + 5) {
             let tree = SpanTrace::begin_at(rid, 0).finish();
-            s.insert(StoredTrace { tree, events: Vec::new() });
+            s.insert(rid, StoredTrace { tree, events: Vec::new() });
         }
         assert_eq!(s.map.len(), TRACE_STORE_CAP);
-        assert!(!s.map.contains_key(&1), "oldest entries must be evicted");
-        assert!(s.map.contains_key(&(TRACE_STORE_CAP as u64 + 5)));
+        assert!(s.get(1).is_none(), "oldest entries must be evicted");
+        assert!(s.get(TRACE_STORE_CAP as u64 + 5).is_some());
         // Re-inserting an existing rid must not grow the order queue.
         let tree = SpanTrace::begin_at(9, 0).finish();
-        s.insert(StoredTrace { tree, events: Vec::new() });
+        s.insert(9, StoredTrace { tree, events: Vec::new() });
         assert_eq!(s.order.len(), s.map.len());
     }
 
     #[test]
     fn completed_store_evicts_oldest() {
-        let mut s = CompletedStore::new();
+        let mut s = Bounded::new(COMPLETED_STORE_CAP);
         for rid in 1..=(COMPLETED_STORE_CAP as u64 + 7) {
             s.insert(rid, Obj::new().num("request_id", rid));
         }
@@ -1151,20 +1117,5 @@ mod tests {
         assert_ne!(a, request_digest("bin_tree", Size::Tiny, ExecMode::Ns));
         assert_ne!(a, request_digest("histogram", Size::Small, ExecMode::Ns));
         assert_ne!(a, request_digest("histogram", Size::Tiny, ExecMode::Base));
-    }
-
-    #[test]
-    fn config_from_env_defaults_are_sane() {
-        // Only assert defaults when the env is clean (CI may arm them).
-        if std::env::var_os("NSC_MAX_CONNS").is_none()
-            && std::env::var_os("NSC_QUEUE_CAP").is_none()
-            && std::env::var_os("NSC_DEADLINE_MS").is_none()
-        {
-            let cfg = ServeConfig::from_env(3);
-            assert_eq!(cfg.jobs, 3);
-            assert_eq!(cfg.max_conns, 64);
-            assert_eq!(cfg.queue_cap, 128);
-            assert_eq!(cfg.deadline_ms, 0);
-        }
     }
 }

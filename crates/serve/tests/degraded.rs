@@ -1,12 +1,13 @@
-//! Degraded cache-only mode under saturation. This test arms the
-//! result cache through the environment (`NSC_CACHE`/`NSC_CACHE_DIR`),
-//! so it lives alone in its own test binary: env mutation in a
-//! multi-threaded test harness would race every other daemon test.
+//! Degraded cache-only mode under saturation. This test installs a
+//! process configuration that arms the result cache in a private
+//! directory, so it lives alone in its own test binary: the
+//! configuration is process-wide and set once.
 
 use near_stream::ExecMode;
 use nsc_serve::client::roundtrip;
 use nsc_serve::server::ServeConfig;
 use nsc_serve::Request;
+use nsc_sim::config::{self, Config};
 use nsc_workloads::Size;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -46,8 +47,7 @@ fn saturated_queue_still_answers_cache_hits() {
     // Private cache directory: armed, but empty until this test fills it.
     let cache_dir =
         std::env::temp_dir().join(format!("nscd-degraded-cache-{}", std::process::id()));
-    std::env::set_var("NSC_CACHE_DIR", &cache_dir);
-    std::env::set_var("NSC_CACHE", "1");
+    config::install(Config { cache: true, cache_dir: Some(cache_dir.clone()), ..Config::default() });
     let socket: PathBuf =
         std::env::temp_dir().join(format!("nscd-degraded-{}.sock", std::process::id()));
     // A stale socket file (earlier panicked run + recycled pid) would

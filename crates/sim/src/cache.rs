@@ -33,15 +33,14 @@
 //! with the types being cached (`near_stream::RunRequest`), keeping the
 //! dependency direction sim → core intact.
 //!
-//! Arming: the cache is consulted only when the `NSC_CACHE` environment
-//! variable is set to a non-empty value other than `0` *and* no runtime
-//! override disabled it ([`set_disabled`], used by the `--no-cache`
-//! flag). `NSC_RESULTS_DIR` relocates the `results/` root, and
-//! `NSC_CACHE_DIR` overrides the cache directory outright. Tier budgets:
-//! `NSC_CACHE_MEM_BYTES` (hot tier, default 64 MiB, `0` disables the
-//! tier), `NSC_CACHE_DISK_BYTES` (cold tier, default `0` = unbounded),
-//! both accepting `k`/`m`/`g` suffixes. `NSC_CACHE_COMPRESS=1` packs
-//! cold-tier records. All are latched at first [`shared`] use.
+//! Arming and tier budgets come from [`crate::config`]: the cache is
+//! consulted only when `NSC_CACHE` is on (harnesses' `--no-cache` turns
+//! it off; `nscd` turns it on unless `NSC_CACHE=0`). `NSC_RESULTS_DIR`
+//! relocates the `results/` root, and `NSC_CACHE_DIR` overrides the
+//! cache directory outright. `NSC_CACHE_MEM_BYTES` budgets the hot tier
+//! (default 64 MiB, `0` disables it), `NSC_CACHE_DISK_BYTES` the cold
+//! tier (default `0` = unbounded), and `NSC_CACHE_COMPRESS` packs
+//! cold-tier records. [`shared`] builds its store at first use.
 //!
 //! Per-tier hits/misses/stores/evictions are tracked in [`CacheStats`];
 //! harness reports surface the totals in the `host` block, next to
@@ -68,9 +67,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::config;
 use crate::metrics::{self, Metric};
 
 /// A 128-bit content digest, rendered as 32 hex digits.
@@ -183,68 +183,16 @@ impl Digest {
     }
 }
 
-static DISABLED: AtomicBool = AtomicBool::new(false);
-
-fn env_armed() -> bool {
-    static ARMED: OnceLock<bool> = OnceLock::new();
-    *ARMED.get_or_init(|| {
-        matches!(std::env::var("NSC_CACHE"), Ok(v) if !v.is_empty() && v != "0")
-    })
-}
-
-/// Whether cache consultation is armed (`NSC_CACHE=1` and not overridden
-/// by [`set_disabled`]).
+/// Whether cache consultation is armed (`NSC_CACHE`, or the
+/// `--no-cache` flag turning it off; see [`crate::config`]).
 pub fn enabled() -> bool {
-    env_armed() && !DISABLED.load(Ordering::Relaxed)
+    config::get().cache
 }
 
-/// Runtime override: `set_disabled(true)` forces the cache off even when
-/// `NSC_CACHE` is set (the `--no-cache` harness flag).
-pub fn set_disabled(disabled: bool) {
-    DISABLED.store(disabled, Ordering::Relaxed);
-}
-
-/// The cache root: `NSC_CACHE_DIR`, else `<results dir>/.cache` where the
-/// results dir honors `NSC_RESULTS_DIR` exactly like the bench reports.
-pub fn dir() -> PathBuf {
-    if let Some(d) = std::env::var_os("NSC_CACHE_DIR") {
-        return PathBuf::from(d);
-    }
-    std::env::var_os("NSC_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-        .join(".cache")
-}
-
-/// Hot-tier default when `NSC_CACHE_MEM_BYTES` is unset.
-const DEFAULT_MEM_BUDGET: u64 = 64 << 20;
 /// Flat per-entry bookkeeping charge in the hot tier, on top of blob
 /// bytes (map slot, key, stamps). Keeps a million tiny entries from
 /// reading as "free".
 const MEM_ENTRY_OVERHEAD: u64 = 64;
-
-fn parse_bytes(s: &str) -> Option<u64> {
-    let t = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match t.strip_suffix(|c: char| matches!(c, 'k' | 'm' | 'g')) {
-        Some(head) => {
-            let mult = match t.as_bytes()[t.len() - 1] {
-                b'k' => 1u64 << 10,
-                b'm' => 1 << 20,
-                _ => 1 << 30,
-            };
-            (head.trim_end(), mult)
-        }
-        None => (t.as_str(), 1),
-    };
-    digits.parse::<u64>().ok()?.checked_mul(mult)
-}
-
-fn env_bytes(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) if !v.trim().is_empty() => parse_bytes(&v).unwrap_or(default),
-        _ => default,
-    }
-}
 
 /// Per-tier counters and occupancy, snapshotted by [`CacheStore::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -776,9 +724,9 @@ impl DiskTier {
 
 /// Hot-over-cold [`CacheStore`]: an in-memory LRU above the sharded
 /// on-disk blob store. See the module docs for the tier diagram and the
-/// environment knobs; [`shared`] holds the process-wide instance, and
-/// tests construct tiny-budget instances via [`TieredCache::with_config`]
-/// to force evictions without touching the environment.
+/// knobs; [`shared`] holds the process-wide instance, and tests
+/// construct tiny-budget instances via [`TieredCache::with_config`] to
+/// force evictions without touching the process configuration.
 pub struct TieredCache {
     mem: MemTier,
     disk: DiskTier,
@@ -792,17 +740,6 @@ impl TieredCache {
             mem: MemTier::new(mem_bytes),
             disk: DiskTier::new(dir, disk_bytes, compress),
         }
-    }
-
-    fn from_env() -> TieredCache {
-        let compress =
-            matches!(std::env::var("NSC_CACHE_COMPRESS"), Ok(v) if !v.is_empty() && v != "0");
-        TieredCache::with_config(
-            dir(),
-            env_bytes("NSC_CACHE_MEM_BYTES", DEFAULT_MEM_BUDGET),
-            env_bytes("NSC_CACHE_DISK_BYTES", 0),
-            compress,
-        )
     }
 
     /// Hot-tier byte budget (`0` = tier disabled).
@@ -907,12 +844,15 @@ impl CacheStore for TieredCache {
     }
 }
 
-/// The process-wide store, configured from the environment at first use
+/// The process-wide store, built from [`config::get`] at first use
 /// (`RunRequest::run_cached`, the daemon's probe/inspect paths, and the
 /// harness host block all share it).
 pub fn shared() -> &'static TieredCache {
     static SHARED: OnceLock<TieredCache> = OnceLock::new();
-    SHARED.get_or_init(TieredCache::from_env)
+    SHARED.get_or_init(|| {
+        let c = config::get();
+        TieredCache::with_config(c.cache_root(), c.cache_mem_bytes, c.cache_disk_bytes, c.cache_compress)
+    })
 }
 
 #[cfg(test)]
@@ -973,15 +913,6 @@ mod tests {
         assert_eq!(Key::parse_hex("zz"), None);
         assert_eq!(Key::parse_hex(&"f".repeat(31)), None);
         assert_eq!(Key::parse_hex(&"g".repeat(32)), None);
-    }
-
-    #[test]
-    fn parse_bytes_suffixes() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("16k"), Some(16 << 10));
-        assert_eq!(parse_bytes(" 2M "), Some(2 << 20));
-        assert_eq!(parse_bytes("1g"), Some(1 << 30));
-        assert_eq!(parse_bytes("nope"), None);
     }
 
     #[test]
@@ -1160,12 +1091,5 @@ mod tests {
         assert!(s1.cold.evictions >= 1, "pre-existing entries evict: {s1:?}");
         assert!(s1.cold.bytes <= 120);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disable_override_wins() {
-        set_disabled(true);
-        assert!(!enabled());
-        set_disabled(false);
     }
 }

@@ -157,21 +157,6 @@ impl FaultPlan {
         }
     }
 
-    /// Builds a plan from the `NSC_FAULT_RATE` / `NSC_FAULT_SEED`
-    /// environment knobs. Returns `None` when `NSC_FAULT_RATE` is unset,
-    /// unparsable, or zero — i.e. when chaos mode is off.
-    pub fn from_env() -> Option<Self> {
-        let rate: f64 = std::env::var("NSC_FAULT_RATE").ok()?.trim().parse().ok()?;
-        if rate.is_nan() || rate <= 0.0 {
-            return None;
-        }
-        let seed = std::env::var("NSC_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0xC0FFEE);
-        Some(FaultPlan::uniform(seed, rate))
-    }
-
     /// Derives the plan a parallel sweep arms for run number `run`:
     /// identical rates, with the seed mixed (splitmix64) from the base
     /// seed and the run's submission index. Each run then draws an

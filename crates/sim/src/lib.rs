@@ -17,6 +17,7 @@
 //! ```
 
 pub mod cache;
+pub mod config;
 pub mod error;
 pub mod fault;
 pub mod json;

@@ -8,12 +8,11 @@
 //!
 //! # Level filter
 //!
-//! The filter is read once from `NSC_LOG` (`off`, `error`, `warn`,
-//! `info`, `debug`, `trace`; unset means *off*) and cached in an atomic.
-//! Binaries that want logging on by default (the daemon) call
-//! [`init`] with their preferred fallback before the first log call.
-//! Set `NSC_LOG_STDERR=1` to additionally echo records to stderr as
-//! they happen.
+//! The filter starts from `NSC_LOG` (`off`, `error`, `warn`, `info`,
+//! `debug`, `trace`; unset means *off*), read through
+//! [`crate::config`] on the first log call and cached in an atomic.
+//! Binaries that want logging on by default (the daemon) install a
+//! configuration whose `log` default is their preferred level.
 //!
 //! # Cost model
 //!
@@ -83,49 +82,23 @@ impl Level {
             _ => None,
         }
     }
-
-    fn from_u8(v: u8) -> Option<Level> {
-        match v {
-            1 => Some(Level::Error),
-            2 => Some(Level::Warn),
-            3 => Some(Level::Info),
-            4 => Some(Level::Debug),
-            5 => Some(Level::Trace),
-            _ => None,
-        }
-    }
 }
 
 /// Sentinel meaning "not initialized yet": the first log call resolves
-/// `NSC_LOG` and replaces it.
+/// the configured level and replaces it.
 const UNINIT: u8 = 0xFF;
 const OFF: u8 = 0;
 
+/// Flight-recorder capacity in records.
+const FLIGHT_CAP: usize = 4096;
+
 static LEVEL: AtomicU8 = AtomicU8::new(UNINIT);
-/// 0 = no stderr echo, 1 = echo; latched together with the level.
-static ECHO: AtomicU8 = AtomicU8::new(0);
 
 #[cold]
-fn init_from_env(fallback: u8) -> u8 {
-    let v = match std::env::var("NSC_LOG").ok().as_deref().and_then(Level::parse) {
-        Some(Some(l)) => l as u8,
-        Some(None) => OFF,
-        // Unset or unrecognized: the caller's fallback.
-        None => fallback,
-    };
-    let echo = std::env::var("NSC_LOG_STDERR").map(|s| s == "1").unwrap_or(false);
-    ECHO.store(echo as u8, Ordering::Relaxed);
+fn init_from_config() -> u8 {
+    let v = crate::config::get().log.map_or(OFF, |l| l as u8);
     LEVEL.store(v, Ordering::Relaxed);
     v
-}
-
-/// Resolves the level filter, initializing from `NSC_LOG` on first use
-/// with `fallback` when the variable is unset. Call early from binaries
-/// that want a non-off default (e.g. `nscd` passes `Info`).
-pub fn init(fallback: Option<Level>) {
-    if LEVEL.load(Ordering::Relaxed) == UNINIT {
-        init_from_env(fallback.map_or(OFF, |l| l as u8));
-    }
 }
 
 /// Forces the level filter, overriding `NSC_LOG` (tests, client tools).
@@ -133,21 +106,12 @@ pub fn set_level(level: Option<Level>) {
     LEVEL.store(level.map_or(OFF, |l| l as u8), Ordering::Relaxed);
 }
 
-/// The currently effective filter (`None` = off).
-pub fn level() -> Option<Level> {
-    let mut v = LEVEL.load(Ordering::Relaxed);
-    if v == UNINIT {
-        v = init_from_env(OFF);
-    }
-    Level::from_u8(v)
-}
-
 /// Fast-path check: would a record at `level` be admitted?
 #[inline]
 pub fn enabled(level: Level) -> bool {
     let v = LEVEL.load(Ordering::Relaxed);
     if v == UNINIT {
-        return init_from_env(OFF) >= level as u8;
+        return init_from_config() >= level as u8;
     }
     v >= level as u8
 }
@@ -186,19 +150,13 @@ struct Flight {
     /// Records evicted (ring full) since the last drain.
     dropped: u64,
     ring: VecDeque<LogRecord>,
-    cap: usize,
 }
 
 static FLIGHT: OnceLock<Mutex<Flight>> = OnceLock::new();
 
 fn flight() -> &'static Mutex<Flight> {
     FLIGHT.get_or_init(|| {
-        let cap = std::env::var("NSC_LOG_CAP")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|c| c.clamp(16, 1 << 20))
-            .unwrap_or(4096);
-        Mutex::new(Flight { next_seq: 0, dropped: 0, ring: VecDeque::with_capacity(cap.min(1024)), cap })
+        Mutex::new(Flight { next_seq: 0, dropped: 0, ring: VecDeque::with_capacity(1024) })
     })
 }
 
@@ -209,10 +167,7 @@ fn record(level: Level, target: &'static str, msg: String) {
     let seq = fl.next_seq;
     fl.next_seq += 1;
     let rec = LogRecord { seq, ts_us, level, target, msg };
-    if ECHO.load(Ordering::Relaxed) == 1 {
-        eprintln!("{}", rec.render());
-    }
-    if fl.ring.len() == fl.cap {
+    if fl.ring.len() == FLIGHT_CAP {
         fl.ring.pop_front();
         fl.dropped += 1;
     }
@@ -278,7 +233,6 @@ mod tests {
         assert!(enabled(Level::Error));
         assert!(enabled(Level::Info));
         assert!(!enabled(Level::Debug));
-        assert_eq!(level(), Some(Level::Info));
 
         let _ = drain(); // isolate from records other tests may have left
         let mut ran = false;

@@ -205,26 +205,6 @@ impl<T> SlotBoard<T> {
     }
 }
 
-/// The worker count requested by the environment: `NSC_JOBS` if set to
-/// a positive integer, otherwise [`std::thread::available_parallelism`]
-/// (1 if that is unavailable).
-pub fn jobs_from_env() -> usize {
-    match std::env::var("NSC_JOBS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("warning: ignoring invalid NSC_JOBS={v:?} (want a positive integer)");
-                default_jobs()
-            }
-        },
-        Err(_) => default_jobs(),
-    }
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,13 +266,5 @@ mod tests {
         ];
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| run_ordered(&pool, tasks)));
         assert!(err.is_err(), "panic inside a task must reach the caller");
-    }
-
-    #[test]
-    fn jobs_env_parsing() {
-        // Only checks the default path is sane; env mutation is racy in
-        // the threaded test harness so NSC_JOBS itself is exercised by
-        // the integration tests that spawn dedicated processes.
-        assert!(default_jobs() >= 1);
     }
 }

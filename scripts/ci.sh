@@ -5,25 +5,30 @@
 #   1. release build of the whole workspace,
 #   2. the full test suite (unit, integration, doc tests),
 #   3. clippy with warnings promoted to errors,
-#   4. a chaos smoke: the fault-injection sweep at --tiny, which asserts
+#   4. no environment read outside crates/sim/src/config.rs (benchmark/,
+#      a package of its own, is not checked),
+#   5. a chaos smoke: the fault-injection sweep at --tiny, which asserts
 #      bit-identical results under injected faults across 4 fixed seeds,
-#   5. a perf smoke: NSC_JOBS=1 vs NSC_JOBS=8 must produce byte-identical
+#   6. a perf smoke: NSC_JOBS=1 vs NSC_JOBS=8 must produce byte-identical
 #      tables and JSON (modulo the host.* wall-clock object),
-#   6. a cache smoke: the same harness twice under NSC_CACHE=1 — the
+#   7. a cache smoke: the same harness twice under NSC_CACHE=1 — the
 #      second run must be 100% cache hits (zero simulations) and emit a
 #      byte-identical report once the host.* object is stripped,
-#   7. a cache-tier smoke: the sweep under tiny NSC_CACHE_DISK_BYTES +
+#   8. a cache-tier smoke: the sweep under tiny NSC_CACHE_DISK_BYTES +
 #      compression (forced cold evictions, still byte-identical), then a
 #      live daemon with a 1-byte cold budget whose hot tier must serve a
 #      disk-evicted key, checked via `nsc-client inspect` and the
 #      nsc_cache_* Prometheus series,
-#   8. an nscd smoke: daemon round trip over a Unix socket, including a
+#   9. an nscd smoke: daemon round trip over a Unix socket, including a
 #      warm resubmission that must be served from the cache,
-#   9. an overload soak: a saturating nsc_load burst against a one-worker
+#  10. a trace smoke: one request's span tree and the log flight
+#      recorder from a live daemon, and fig09 under NSC_LOG=debug
+#      byte-identical to the plain run,
+#  11. an overload soak: a saturating nsc_load burst against a one-worker
 #      daemon with fault injection armed — every request must get exactly
 #      one terminal response (typed sheds allowed, lost responses not)
 #      and the shed counters must surface in the Prometheus exporter,
-#  10. the repo benchmark (benchmark/run.sh, default arguments): every
+#  12. the repo benchmark (benchmark/run.sh, default arguments): every
 #      workload must report correct output and zero failed operations.
 #      Host time is not gated here; see benchmark/README.md for how a
 #      speed claim is measured.
@@ -55,6 +60,12 @@ cargo test -q --workspace --offline
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== config (one reader of the environment) =="
+if grep -rnE 'env::(var\(|var_os\(|vars)' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/sim/src/config\.rs:'; then
+  echo "environment read outside crates/sim/src/config.rs"; exit 1
+fi
 
 PERF_TMP="$(mktemp -d)"
 trap 'rm -rf "$PERF_TMP"' EXIT

@@ -1,10 +1,10 @@
 //! Tier behavior of the result cache under byte budgets: forced hot- and
 //! cold-tier evictions between passes must never change replayed record
 //! bytes, and a shared store must be worker-count invariant. These tests
-//! arm the cache through `NSC_CACHE` and drive explicit tiny-budget
-//! [`TieredCache`] instances (never the process-wide handle), so they
-//! live alone in their own test binary: env mutation in a multi-threaded
-//! harness would race other test binaries' latched cache state.
+//! install a process configuration with the cache armed and drive
+//! explicit tiny-budget [`TieredCache`] instances (never the
+//! process-wide handle), so they live alone in their own test binary:
+//! the configuration is process-wide and set once.
 
 use near_stream::request::encode;
 use near_stream::{ExecMode, RunRequest, SystemConfig};
@@ -12,15 +12,17 @@ use nsc_compiler::compile;
 use nsc_ir::build::KernelBuilder;
 use nsc_ir::{ElemType, Expr, Program};
 use nsc_sim::cache::{CacheStore, Key, TieredCache};
+use nsc_sim::config::{self, Config};
 use nsc_sim::fault::FaultStats;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
-/// Arms cache consultation before the first `enabled()` call latches.
-/// Every test calls this first; re-setting the same value is idempotent.
+/// Arms cache consultation before anything reads the configuration.
+/// Every test calls this first; only the first call installs.
 fn arm() {
-    std::env::set_var("NSC_CACHE", "1");
+    static ARM: Once = Once::new();
+    ARM.call_once(|| config::install(Config { cache: true, ..Config::default() }));
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {

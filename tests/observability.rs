@@ -118,15 +118,9 @@ fn empty_histogram_percentiles_are_null_in_results_json() {
     // is indistinguishable from a real zero-latency measurement. They must
     // render as JSON null.
     use nsc_bench::Report;
-    let dir = std::env::temp_dir().join(format!("nsc_obs_null_{}", std::process::id()));
-    std::env::set_var("NSC_RESULTS_DIR", &dir);
     let mut rep = Report::new("empty_hist_regression", Size::Tiny);
     rep.hist("noc_latency_empty", &Histogram::new(8.0, 4));
-    let path = rep.finish().expect("write results json");
-    std::env::remove_var("NSC_RESULTS_DIR");
-    let text = std::fs::read_to_string(&path).expect("results file exists");
-    std::fs::remove_dir_all(&dir).ok();
-    let doc = parse(&text).expect("results are valid JSON");
+    let doc = parse(&rep.render()).expect("results are valid JSON");
     let hists = doc.get("histograms").and_then(Json::as_obj).unwrap();
     let h = hists.get("noc_latency_empty").unwrap();
     assert_eq!(h.get("count").and_then(Json::as_f64), Some(0.0));
